@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check vet lint build test race fuzz bench evbench bench-json bench-smoke bench-diff burst-smoke check-backends telemetry-smoke crash-smoke obs-smoke scale-smoke
+.PHONY: check vet lint build test perfbench-test race fuzz bench evbench bench-json bench-smoke bench-diff burst-smoke check-backends telemetry-smoke crash-smoke obs-smoke scale-smoke
 
 # The gate everything must pass: static checks, a full build, the test
 # suite, the concurrency-sensitive packages (parallel experiment
@@ -8,9 +8,9 @@ GO ?= go
 # an end-to-end telemetry export check, the µP4 backend differential
 # check, the burst-datapath differential check, the crash-injection
 # checkpoint/restore harness, the observability-plane read-only check,
-# the fat-tree partitioned-digest smoke, and a perf regression diff
-# against the committed baseline.
-check: lint build test race telemetry-smoke check-backends burst-smoke crash-smoke obs-smoke scale-smoke bench-diff
+# the fat-tree partitioned-digest smoke, the repository benchmark's own
+# tests, and a perf regression diff against the committed baseline.
+check: lint build test perfbench-test race telemetry-smoke check-backends burst-smoke crash-smoke obs-smoke scale-smoke bench-diff
 
 vet:
 	$(GO) vet ./...
@@ -31,12 +31,18 @@ build:
 test:
 	$(GO) test ./...
 
+# perfbench is a nested module, so `go test ./...` at the root never
+# reaches it: its golden-digest, determinism and metric-name tests run
+# here.
+perfbench-test:
+	cd perfbench && $(GO) test ./...
+
 # The full scale sweep (TestScale*) is excluded here: its k=8 fat tree
 # is minutes under the race detector on one core. scale-smoke runs the
 # reduced fat tree race-checked instead.
 race:
 	$(GO) test -race ./internal/bench -run 'TestParallel|TestResilience|TestDomain|TestTelemetry|TestFastForward|TestUP4|TestTrialPanic|TestJournal|TestBurst|TestObs'
-	$(GO) test -race ./internal/sim -run 'TestPartition|TestAtWire|TestRunBefore|TestAdvanceTo|TestBatched|TestSlimState'
+	$(GO) test -race ./internal/sim -run 'TestPartition|TestAtWire|TestRunBefore|TestAdvanceTo|TestBatched|TestSlimState|TestLaneHeap|TestRestoreArm'
 	$(GO) test -race ./internal/netsim -run 'TestPartitioned|TestScheduleLinkChange|TestCrossDomain|TestBurst'
 	$(GO) test -race ./internal/core -run 'TestBurst|TestSwitchBurst'
 	$(GO) test -race ./internal/faults
@@ -50,7 +56,9 @@ fuzz:
 	$(GO) test -fuzz FuzzParseSchedule -fuzztime 10s ./internal/faults
 	$(GO) test -fuzz FuzzCompiledVsInterp -fuzztime 10s ./internal/p4
 
-# Hot-path micro-benchmarks (scheduler + switch cycle + event queue).
+# Hot-path micro-benchmarks (scheduler, including the lane heap at 8,
+# 160 and 640 lanes in BenchmarkSchedulerManyLanes, + switch cycle +
+# event queue).
 bench:
 	$(GO) test -bench 'BenchmarkScheduler|BenchmarkSwitch|BenchmarkQueue' -benchmem -run xxx ./internal/sim ./internal/core ./internal/events
 

@@ -340,8 +340,13 @@ func (s *Switch) Restore(d *checkpoint.Decoder) {
 	}
 	// Re-arm the aux lane at the restored conveyor's minimum: the entries
 	// carry their original coordinates, so the resumed schedule fires them
-	// in exactly the uninterrupted order.
-	s.auxArm()
+	// in exactly the uninterrupted order. RestoreArm, not auxArm: the arm
+	// was already counted by the checkpointed run.
+	if at, seq, _, ok := s.auxMin(); ok {
+		s.auxLane.RestoreArm(at, seq)
+	} else {
+		s.auxLane.Disarm()
+	}
 
 	nt := d.Int()
 	if d.Err() != nil {

@@ -653,8 +653,9 @@ func (s *Switch) haveDrainWork() bool {
 }
 
 // wake arms the next pipeline cycle if work is pending. The cycle runs
-// on a scheduler lane: re-arming is two field writes, so bursts of
-// back-to-back cycles never touch the event heap and never allocate.
+// on a scheduler lane: re-arming re-keys the lane in the scheduler's
+// lane heap, so bursts of back-to-back cycles never touch the event heap
+// and never allocate.
 func (s *Switch) wake() {
 	if s.cycleLane.Armed() {
 		return

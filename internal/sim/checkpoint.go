@@ -129,14 +129,16 @@ func (s *Scheduler) EachWire(visit func(at Time, k1, k2 uint64, fn Action, r Run
 }
 
 // RestoreArm arms the lane with explicit (at, seq) coordinates from a
-// checkpoint, without drawing from the scheduler's seq counter.
+// checkpoint, without drawing from the scheduler's seq counter. A
+// restore re-creates an arm the checkpointed run already counted, so it
+// bumps neither arm counter.
 func (l *Lane) RestoreArm(at Time, seq uint64) {
-	l.ArmExact(at, seq)
+	l.rekey(at, seq)
 }
 
 // ArmedAt returns the lane's pending (at, seq), for checkpointing.
 func (l *Lane) ArmedAt() (at Time, seq uint64, ok bool) {
-	if !l.armed {
+	if l.idx < 0 {
 		return 0, 0, false
 	}
 	return l.at, l.seq, true

@@ -208,7 +208,7 @@ type Scheduler struct {
 	seq    uint64
 	queue  eventHeap
 	wire   wireHeap
-	lanes  []*Lane
+	laneQ  laneHeap
 	free   []*schedEvent
 	fired  uint64
 	halted bool
@@ -232,14 +232,9 @@ type Scheduler struct {
 	runLimit  Time
 	runStrict bool
 
-	// laneBest caches the earliest armed lane so the per-step candidate
-	// scan is O(1) instead of a linear walk over every lane. laneScan
-	// marks the cache stale: arming, disarming, firing, or restoring a
-	// lane that could change the minimum sets it, and the next nextLane
-	// call rescans. When laneScan is false, laneBest is the earliest
-	// armed lane (nil = none armed).
-	laneBest *Lane
-	laneScan bool
+	// lanes counts registered lanes; each lane's registration index
+	// breaks (at, seq) ties in the lane heap.
+	lanes int
 }
 
 // NewScheduler returns a Scheduler with the clock at time zero.
@@ -253,13 +248,7 @@ func (s *Scheduler) Now() Time { return s.now }
 // Pending returns the number of events waiting to fire (including
 // cancelled events not yet discarded and armed lanes).
 func (s *Scheduler) Pending() int {
-	n := len(s.queue) + len(s.wire)
-	for _, l := range s.lanes {
-		if l.armed {
-			n++
-		}
-	}
-	return n
+	return len(s.queue) + len(s.wire) + len(s.laneQ)
 }
 
 // Fired returns the total number of events executed so far.
@@ -395,28 +384,131 @@ func (t *Ticker) Period() Time { return t.period }
 // Lane is a pre-registered periodic-work fast path: one pending
 // occurrence of a fixed callback, re-armed by the callback itself. A
 // self-rearming driver (the switch's pipeline cycle) that went through
-// At would pay a heap push, a heap pop, and a closure allocation per
-// firing; a Lane is re-armed with two field writes and fires from a
-// direct comparison against the heap head.
+// At would pay an event record, a free-list round trip, and a closure
+// allocation per firing; a Lane is a fixed entry in the scheduler's lane
+// heap, re-keyed in place when it is re-armed.
 //
 // Arming draws a sequence number from the same counter as At, so a lane
 // firing orders against heap events exactly as the equivalent At call
 // would: earlier-armed work fires first at the same instant.
 type Lane struct {
-	s     *Scheduler
-	fn    Action
-	at    Time
-	seq   uint64
-	armed bool
+	s   *Scheduler
+	fn  Action
+	at  Time
+	seq uint64
+	id  int // registration order; breaks (at, seq) ties
+	idx int // position in the lane heap; -1 when disarmed
+}
+
+// laneArity is the lane heap's fan-out. Four children per node halve
+// the heap's depth against a binary heap; with 160 to 640 lanes that
+// re-keys faster, and it ties with binary at 8 lanes (EXPERIMENTS.md).
+const laneArity = 4
+
+// laneHeap is an indexed min-heap of armed lanes ordered by (at, seq,
+// id). Every lane records its own position (idx), so arming, re-arming
+// and disarming re-key or remove the lane in place in O(log lanes), and
+// the earliest lane is always laneQ[0]. The id tie-break only matters
+// for two lanes armed at identical (at, seq) coordinates, which only
+// ArmExact or RestoreArm with a reused seq can produce: the
+// earlier-registered lane fires first, so the order stays total.
+type laneHeap []*Lane
+
+func laneLess(a, b *Lane) bool {
+	if a.at != b.at {
+		return a.at < b.at
+	}
+	if a.seq != b.seq {
+		return a.seq < b.seq
+	}
+	return a.id < b.id
+}
+
+// siftUp moves l from the hole at index i toward the root and stores it
+// where it comes to rest, shifting parents down one store per level.
+func (h laneHeap) siftUp(i int, l *Lane) {
+	for i > 0 {
+		parent := (i - 1) / laneArity
+		p := h[parent]
+		if !laneLess(l, p) {
+			break
+		}
+		h[i] = p
+		p.idx = i
+		i = parent
+	}
+	h[i] = l
+	l.idx = i
+}
+
+// siftDown moves l from the hole at index i toward the leaves.
+func (h laneHeap) siftDown(i int, l *Lane) {
+	n := len(h)
+	for {
+		first := laneArity*i + 1
+		if first >= n {
+			break
+		}
+		min := first
+		for c := first + 1; c < first+laneArity && c < n; c++ {
+			if laneLess(h[c], h[min]) {
+				min = c
+			}
+		}
+		m := h[min]
+		if !laneLess(m, l) {
+			break
+		}
+		h[i] = m
+		m.idx = i
+		i = min
+	}
+	h[i] = l
+	l.idx = i
+}
+
+// fix stores l, whose key may have moved either way, at the hole at
+// index i.
+func (h laneHeap) fix(i int, l *Lane) {
+	if i > 0 && laneLess(l, h[(i-1)/laneArity]) {
+		h.siftUp(i, l)
+	} else {
+		h.siftDown(i, l)
+	}
+}
+
+// laneSet places l in the heap at its current (at, seq), pushing it when
+// disarmed and re-keying it in place when already armed.
+func (s *Scheduler) laneSet(l *Lane) {
+	if l.idx >= 0 {
+		s.laneQ.fix(l.idx, l)
+		return
+	}
+	s.laneQ = append(s.laneQ, l)
+	s.laneQ.siftUp(len(s.laneQ)-1, l)
+}
+
+// laneRemove takes the armed lane l out of the heap.
+func (s *Scheduler) laneRemove(l *Lane) {
+	q := s.laneQ
+	i, n := l.idx, len(q)-1
+	last := q[n]
+	q[n] = nil
+	q = q[:n]
+	s.laneQ = q
+	l.idx = -1
+	if i < n {
+		q.fix(i, last)
+	}
 }
 
 // NewLane registers fn as a lane on the scheduler. The callback is fixed
-// for the lane's lifetime; a scheduler supports a small number of lanes
-// (one per simulated pipeline), scanned linearly when picking the next
-// event.
+// for the lane's lifetime. Armed lanes live in an indexed heap, so
+// picking the next lane is O(1) and arming, re-arming, disarming or
+// firing one costs O(log lanes), however many lanes are registered.
 func (s *Scheduler) NewLane(fn Action) *Lane {
-	l := &Lane{s: s, fn: fn}
-	s.lanes = append(s.lanes, l)
+	l := &Lane{s: s, fn: fn, id: s.lanes, idx: -1}
+	s.lanes++
 	return l
 }
 
@@ -428,86 +520,44 @@ func (l *Lane) ArmAt(at Time) {
 	if at < s.now {
 		panic("sim: lane armed in the past")
 	}
-	if !s.laneScan {
-		// Keep the earliest-lane cache coherent: a fresh arm always draws
-		// the highest seq so far, so at equal times the cached best keeps
-		// winning; re-arming the cached best to a later instant is the
-		// only case that forces a rescan.
-		switch b := s.laneBest; {
-		case b == nil:
-			s.laneBest = l
-		case b == l:
-			if at > l.at {
-				s.laneScan = true
-			}
-		case at < b.at:
-			s.laneBest = l
-		}
-	}
-	l.at = at
-	l.seq = s.seq
+	l.rekey(at, s.seq)
 	s.seq++
-	l.armed = true
 	s.laneArms++
 }
 
 // ArmExact arms the lane at explicit (at, seq) coordinates instead of
 // drawing a fresh sequence number. The caller owns work that already has
-// a position in the global event order — a checkpointed arm being
-// restored, or a conveyor entry that drew its seq (NextSeq) when it was
-// scheduled — and the lane must fire in exactly that position. No
-// past-check is applied: checkpoint restore arms lanes before the clock
-// is restored.
+// a position in the global event order — a conveyor entry that drew its
+// seq (NextSeq) when it was scheduled — and the lane must fire in
+// exactly that position. No past-check is applied.
 func (l *Lane) ArmExact(at Time, seq uint64) {
-	s := l.s
-	if !s.laneScan {
-		// Same cache-coherence cases as ArmAt, but the explicit seq can be
-		// older than other arms', so ties compare the full (at, seq) pair.
-		switch b := s.laneBest; {
-		case b == nil:
-			s.laneBest = l
-		case b == l:
-			if at > l.at || (at == l.at && seq > l.seq) {
-				s.laneScan = true
-			}
-		case at < b.at || (at == b.at && seq < b.seq):
-			s.laneBest = l
-		}
-	}
+	l.rekey(at, seq)
+	l.s.auxArms++
+}
+
+// rekey arms the lane at (at, seq) without counting an arm.
+func (l *Lane) rekey(at Time, seq uint64) {
 	l.at = at
 	l.seq = seq
-	l.armed = true
-	s.auxArms++
+	l.s.laneSet(l)
 }
 
 // Armed reports whether the lane has a pending firing.
-func (l *Lane) Armed() bool { return l.armed }
+func (l *Lane) Armed() bool { return l.idx >= 0 }
 
 // Disarm cancels the pending firing, if any.
 func (l *Lane) Disarm() {
-	if l.armed && l.s.laneBest == l {
-		l.s.laneScan = true
+	if l.idx >= 0 {
+		l.s.laneRemove(l)
 	}
-	l.armed = false
 }
 
 // nextLane returns the earliest armed lane, or nil.
 func (s *Scheduler) nextLane() *Lane {
-	if !s.laneScan {
-		return s.laneBest
+	if len(s.laneQ) == 0 {
+		return nil
 	}
-	var best *Lane
-	for _, l := range s.lanes {
-		if !l.armed {
-			continue
-		}
-		if best == nil || l.at < best.at || (l.at == best.at && l.seq < best.seq) {
-			best = l
-		}
-	}
-	s.laneBest = best
-	s.laneScan = false
-	return best
+	return s.laneQ[0]
 }
 
 // peekHeap discards cancelled events from the heap head and returns the
@@ -585,8 +635,7 @@ func (s *Scheduler) stepBounded(limit Time, strict bool) bool {
 		if lane.at > limit || (strict && lane.at == limit) {
 			return false
 		}
-		lane.armed = false
-		s.laneScan = true
+		s.laneRemove(lane)
 		s.now = lane.at
 		s.fired++
 		lane.fn()

@@ -1,6 +1,9 @@
 package sim
 
-import "testing"
+import (
+	"fmt"
+	"testing"
+)
 
 // BenchmarkScheduler measures the steady-state schedule+fire round trip
 // through the heap with the event free list warm: the cost the switch
@@ -36,9 +39,42 @@ func BenchmarkSchedulerLane(b *testing.B) {
 	}
 }
 
+// rotatingLanes registers n self-rearming lanes that fire in rotation,
+// one per nanosecond: lane i first fires at (i+1) ns and each firing
+// re-arms its lane n ns later. Every Step fires one lane and re-keys it
+// behind all the others — the pattern of a fabric's per-switch cycle
+// lanes, where the lane that just fired is never the next one.
+func rotatingLanes(n int) *Scheduler {
+	s := NewScheduler()
+	period := Time(n) * Nanosecond
+	for i := 0; i < n; i++ {
+		var l *Lane
+		l = s.NewLane(func() { l.ArmAt(s.Now() + period) })
+		l.ArmAt(Time(i+1) * Nanosecond)
+	}
+	return s
+}
+
+// BenchmarkSchedulerManyLanes measures lane selection as the lane count
+// grows: one fire plus one re-arm per op, with 8, 160 (the k=8 fat
+// tree's cycle and aux lanes) and 640 lanes armed.
+func BenchmarkSchedulerManyLanes(b *testing.B) {
+	for _, n := range []int{8, 160, 640} {
+		b.Run(fmt.Sprintf("lanes=%d", n), func(b *testing.B) {
+			s := rotatingLanes(n)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				s.Step()
+			}
+		})
+	}
+}
+
 // TestSchedulerSteadyStateZeroAlloc pins the scheduler's hot paths at
-// zero allocations per event once the free list is warm: both the
-// heap path (After/Step) and the lane path must recycle, not allocate.
+// zero allocations per event once the free list is warm: the heap path
+// (After/Step) and the lane path must recycle, not allocate, and with
+// 640 lanes a fire and re-arm only moves lanes within the lane heap.
 func TestSchedulerSteadyStateZeroAlloc(t *testing.T) {
 	s := NewScheduler()
 	fn := func() {}
@@ -62,6 +98,16 @@ func TestSchedulerSteadyStateZeroAlloc(t *testing.T) {
 		s.Step()
 	}); avg != 0 {
 		t.Errorf("lane path: %v allocs per fire, want 0", avg)
+	}
+
+	many := rotatingLanes(640)
+	for i := 0; i < 640; i++ {
+		many.Step()
+	}
+	if avg := testing.AllocsPerRun(1000, func() {
+		many.Step()
+	}); avg != 0 {
+		t.Errorf("640 lanes: %v allocs per fire, want 0", avg)
 	}
 }
 
