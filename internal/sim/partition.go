@@ -12,10 +12,11 @@ import (
 // set of Schedulers. Each member scheduler is a domain: a group of
 // simulated components that interact with the other domains only through
 // messages carrying at least Lookahead of virtual latency. Run advances
-// every domain in bounded windows — each domain executes on its own
-// goroutine up to its window edge, then all domains synchronize at a
-// barrier where cross-domain messages are exchanged (the OnBarrier
-// hooks; netsim drains its link mailboxes there).
+// every domain in bounded windows — the calling goroutine executes
+// domain 0 and one worker goroutine each other domain, all concurrently
+// up to their window edges, then all domains synchronize at a barrier
+// where cross-domain messages are exchanged (the OnBarrier hooks;
+// netsim drains its link mailboxes there).
 //
 // Window edges are adaptive (DESIGN.md §16). A domain's edge is the
 // earliest instant any pending work anywhere could deliver an effect to
@@ -288,10 +289,26 @@ func (p *Partition) computeEdges(until Time) {
 	}
 }
 
-// gateWorker is one domain's slot in the epoch gate. The coordinator
-// writes edge/incl/stop before bumping the gate epoch (the atomic bump
-// publishes them); parked and wake implement the park/wake protocol in
-// epochGate.
+// liveDomains counts the domain goroutines of every Partition.Run in
+// progress in the process: n per Run of n domains, the calling goroutine
+// (which executes domain 0) included. Concurrent partitions — bench runs
+// trials in parallel — share it, so a waiter can tell whether every
+// domain goroutine can hold a P at once, the only case in which
+// spinning can pay.
+var liveDomains atomic.Int64
+
+// spinFor bounds a waiter's busy-wait before it parks. It covers a
+// typical window several times over, so back-to-back window rounds cost
+// a fence rather than a futex wake; the bound keeps a domain whose
+// window is the whole run (an idle domain waiting for the horizon) from
+// burning a core for all of it. Picked by a sweep (EXPERIMENTS.md,
+// "Partition: coordinator-run domain and live-domain spin policy").
+const spinFor = 200 * time.Microsecond
+
+// gateWorker is one worker domain's slot in the epoch gate. The
+// coordinator writes edge/incl/stop before bumping the gate epoch (the
+// atomic bump publishes them); parked and wake implement the park/wake
+// protocol in epochGate.
 type gateWorker struct {
 	edge   Time
 	incl   bool
@@ -300,43 +317,60 @@ type gateWorker struct {
 	wake   chan struct{}
 }
 
-// epochGate synchronizes the coordinator with the persistent domain
-// workers without a per-window channel broadcast: releasing a window is
-// one atomic add (plus a wake for any worker that parked), and workers
-// that finish early spin briefly before parking, so back-to-back windows
-// on a multi-core host cost a fence, not a scheduler round-trip.
+// epochGate synchronizes the coordinator with the persistent workers of
+// domains 1..n-1 without a per-window channel broadcast: releasing a
+// window is one atomic add (plus a wake for any worker that parked).
+// A goroutine that finishes its window first spins (see spin) and then
+// parks, so back-to-back windows on free cores cost a fence, not a
+// scheduler round-trip.
 //
 // Protocol: the coordinator writes every worker's command, stores the
-// outstanding count in done, bumps epoch, then wakes parked workers.
-// Workers wait for epoch to reach their round number, run their window,
-// and decrement done; the last one wakes the coordinator if it parked.
-// Both waits use the eventcount discipline — publish the parked flag,
-// re-check the condition, only then block — so a wake can never be lost;
-// tokens are buffered and sends non-blocking, so a stale token at worst
-// causes one spurious wake, which the re-check loop absorbs.
+// outstanding count in done, bumps epoch, then wakes parked workers, and
+// runs domain 0's window itself. Workers wait for epoch to reach their
+// round number, run their window, and decrement done; the last one wakes
+// the coordinator if it parked. Both waits use the eventcount discipline
+// — publish the parked flag, re-check the condition, only then block —
+// so a wake can never be lost; tokens are buffered and sends
+// non-blocking, so a stale token at worst causes one spurious wake,
+// which the re-check loop absorbs.
 type epochGate struct {
 	epoch   atomic.Uint64
 	done    atomic.Int64
 	parked  atomic.Bool // coordinator parked
 	wake    chan struct{}
 	workers []*gateWorker
-	spin    bool // busy-wait briefly before parking (multi-core only)
+	procs   int64 // GOMAXPROCS, read once per Run
 }
 
-// spinBudget bounds the busy-wait before a waiter parks. Spinning only
-// pays when another core can be making progress toward the condition.
-const spinBudget = 3000
-
-func newEpochGate(n int) *epochGate {
+func newEpochGate(workers int) *epochGate {
 	g := &epochGate{
 		wake:    make(chan struct{}, 1),
-		workers: make([]*gateWorker, n),
-		spin:    runtime.GOMAXPROCS(0) > 1,
+		workers: make([]*gateWorker, workers),
+		procs:   int64(runtime.GOMAXPROCS(0)),
 	}
 	for i := range g.workers {
 		g.workers[i] = &gateWorker{wake: make(chan struct{}, 1)}
 	}
 	return g
+}
+
+// spin busy-waits until ready holds, for at most spinFor and only while
+// every live domain goroutine can hold a P (liveDomains <= GOMAXPROCS);
+// it reports whether ready held. When domains outnumber Ps a spinner
+// burns the core a peer needs, so the caller parks at once.
+func (g *epochGate) spin(ready func() bool) bool {
+	if liveDomains.Load() > g.procs {
+		return false
+	}
+	start := time.Now()
+	for i := 1; ; i++ {
+		if ready() {
+			return true
+		}
+		if i%64 == 0 && (time.Since(start) > spinFor || liveDomains.Load() > g.procs) {
+			return false
+		}
+	}
 }
 
 // release publishes the commands already written into the workers and
@@ -356,12 +390,8 @@ func (g *epochGate) release() {
 
 // awaitEpoch blocks worker w until the gate epoch reaches target.
 func (g *epochGate) awaitEpoch(w *gateWorker, target uint64) {
-	if g.spin {
-		for i := 0; i < spinBudget; i++ {
-			if g.epoch.Load() >= target {
-				return
-			}
-		}
+	if g.spin(func() bool { return g.epoch.Load() >= target }) {
+		return
 	}
 	for {
 		if g.epoch.Load() >= target {
@@ -384,12 +414,8 @@ func (g *epochGate) awaitEpoch(w *gateWorker, target uint64) {
 // awaitDone blocks the coordinator until every worker finished its
 // window.
 func (g *epochGate) awaitDone() {
-	if g.spin {
-		for i := 0; i < spinBudget; i++ {
-			if g.done.Load() == 0 {
-				return
-			}
-		}
+	if g.spin(func() bool { return g.done.Load() == 0 }) {
+		return
 	}
 	for {
 		if g.done.Load() == 0 {
@@ -419,48 +445,67 @@ func (g *epochGate) finish() {
 	}
 }
 
-// shutdown releases the workers one last time with stop set; they exit
-// without reporting back.
+// shutdown first waits out any window still in flight (there is one only
+// when a domain-0 event panicked), then releases the workers one last
+// time with stop set and waits until each has acknowledged, so no worker
+// touches the partition after Run ends.
 func (g *epochGate) shutdown() {
+	g.awaitDone()
 	for _, w := range g.workers {
 		w.stop = true
 	}
 	g.release()
+	g.awaitDone()
 }
 
-// startWorkers spawns one persistent goroutine per domain for the
-// duration of a Run call. The workers live across every window of the
-// run, blocked on the epoch gate between windows, and exit on shutdown.
+// domainClock is one domain's barrier-stall accounting: the time between
+// finishing a window and starting the next is the domain's stall — the
+// load-imbalance number the -domains scaling work needs. Wall-clock
+// only; never observed by simulation code.
+type domainClock struct {
+	domain    int
+	idleSince time.Time
+}
+
+// window executes one window of domain c.domain on s, up to edge
+// (inclusive for the final pass), and returns the events it fired.
+func (c *domainClock) window(s *Scheduler, edge Time, incl bool) uint64 {
+	if self.On() && !c.idleSince.IsZero() {
+		self.DomainStallNS(c.domain).Add(uint64(time.Since(c.idleSince).Nanoseconds()))
+	}
+	var n uint64
+	if incl {
+		n = s.Run(edge)
+	} else {
+		n = s.RunBefore(edge)
+	}
+	if self.On() {
+		self.DomainWindows(c.domain).Inc()
+		c.idleSince = time.Now()
+	} else {
+		c.idleSince = time.Time{}
+	}
+	return n
+}
+
+// startWorkers spawns one persistent goroutine for each of domains
+// 1..n-1 for the duration of a Run call; the coordinator executes domain
+// 0 itself, so n domains occupy n goroutines. The workers live across
+// every window of the run, waiting on the epoch gate between windows,
+// and exit on shutdown.
 func (p *Partition) startWorkers(g *epochGate, fired *atomic.Uint64) {
-	for i, s := range p.scheds {
-		go func(domain int, s *Scheduler, w *gateWorker) {
-			// Barrier-stall accounting: the time between finishing a
-			// window and receiving the next epoch is this domain's stall —
-			// the load-imbalance number the -domains scaling work needs.
-			// Wall-clock only; never observed by simulation code.
-			var idleSince time.Time
+	for i, w := range g.workers {
+		go func(c domainClock, s *Scheduler, w *gateWorker) {
 			for round := uint64(1); ; round++ {
 				g.awaitEpoch(w, round)
 				if w.stop {
+					g.finish()
 					return
 				}
-				if obs := self.On(); obs && !idleSince.IsZero() {
-					self.DomainStallNS(domain).Add(uint64(time.Since(idleSince).Nanoseconds()))
-				}
-				if w.incl {
-					fired.Add(s.Run(w.edge))
-				} else {
-					fired.Add(s.RunBefore(w.edge))
-				}
-				if self.On() {
-					self.DomainWindows(domain).Inc()
-					idleSince = time.Now()
-				} else {
-					idleSince = time.Time{}
-				}
+				fired.Add(c.window(s, w.edge, w.incl))
 				g.finish()
 			}
-		}(i, s, g.workers[i])
+		}(domainClock{domain: i + 1}, p.scheds[i+1], w)
 	}
 }
 
@@ -477,36 +522,49 @@ func (p *Partition) startWorkers(g *epochGate, fired *atomic.Uint64) {
 // pass executes events at exactly until (their cross-domain effects land
 // at or after until plus the pair latency and stay mailboxed for a later
 // Run, exactly as the single-scheduler run would leave them pending).
+//
+// The calling goroutine executes domain 0's windows and the barriers. A
+// panic there (in a barrier hook or a domain-0 event) propagates to the
+// caller only after every other domain finished its current window and
+// every worker stopped.
 func (p *Partition) Run(until Time) uint64 {
-	if len(p.scheds) == 1 {
+	n := len(p.scheds)
+	if n == 1 {
+		liveDomains.Add(1)
+		defer liveDomains.Add(-1)
 		p.barrier()
 		p.windows.Add(1)
-		n := p.scheds[0].Run(until)
+		fired := p.scheds[0].Run(until)
 		p.barrier()
 		if self.On() {
 			self.SetDomains(1)
 			self.DomainWindows(0).Inc()
 			self.SimNowPS.Set(int64(until))
 		}
-		return n
+		return fired
 	}
 	if p.lookahead <= 0 {
 		panic("sim: partition with multiple domains needs a positive lookahead")
 	}
 	if self.On() {
-		self.SetDomains(len(p.scheds))
+		self.SetDomains(n)
 	}
-	if len(p.next) != len(p.scheds) {
-		p.next = make([]Time, len(p.scheds))
-		p.edges = make([]Time, len(p.scheds))
+	if len(p.next) != n {
+		p.next = make([]Time, n)
+		p.edges = make([]Time, n)
 	}
 	if p.distDirty {
 		p.closure()
 	}
 	var fired atomic.Uint64
-	g := newEpochGate(len(p.scheds))
+	g := newEpochGate(n - 1)
+	liveDomains.Add(int64(n))
 	p.startWorkers(g, &fired)
-	defer g.shutdown()
+	defer func() {
+		g.shutdown()
+		liveDomains.Add(-int64(n))
+	}()
+	d0 := domainClock{domain: 0}
 	for {
 		p.barrier()
 		s := p.scanNext()
@@ -526,16 +584,19 @@ func (p *Partition) Run(until Time) uint64 {
 			p.computeEdges(until)
 		}
 		minEdge, batched := Forever, false
-		for i, w := range g.workers {
-			w.edge, w.incl = p.edges[i], false
-			if p.edges[i] < minEdge {
-				minEdge = p.edges[i]
+		for _, e := range p.edges {
+			if e < minEdge {
+				minEdge = e
 			}
-			if p.edges[i] > classic {
+			if e > classic {
 				batched = true
 			}
 		}
+		for i, w := range g.workers {
+			w.edge, w.incl = p.edges[i+1], false
+		}
 		g.release()
+		fired.Add(d0.window(p.scheds[0], p.edges[0], false))
 		g.awaitDone()
 		if self.On() {
 			self.SimNowPS.Set(int64(minEdge))
@@ -549,6 +610,7 @@ func (p *Partition) Run(until Time) uint64 {
 		w.edge, w.incl = until, true
 	}
 	g.release()
+	fired.Add(d0.window(p.scheds[0], until, true))
 	g.awaitDone()
 	p.barrier()
 	if self.On() {

@@ -2,7 +2,10 @@ package sim
 
 import (
 	"fmt"
+	"runtime"
+	"sync"
 	"testing"
+	"time"
 )
 
 // ring is a token-passing model over N domains, the partition analogue
@@ -155,16 +158,117 @@ func diffTraces(t *testing.T, label string, want, got []string) {
 	}
 }
 
+// settledGoroutines returns the goroutine count once the workers of
+// earlier Runs, which acknowledge shutdown just before they return, have
+// exited.
+func settledGoroutines() int {
+	n := runtime.NumGoroutine()
+	for i := 0; i < 200; i++ {
+		time.Sleep(time.Millisecond)
+		m := runtime.NumGoroutine()
+		if m == n {
+			return n
+		}
+		n = m
+	}
+	return n
+}
+
 // TestPartitionMatchesSerial verifies Partition.Run's concurrent window
 // execution produces exactly the per-domain event sequences of a serial
-// reference executor, for several domain counts. Run under -race this is
-// also the partition's concurrency-safety check.
+// reference executor, for several domain counts, with domains
+// outnumbering Ps (GOMAXPROCS 1 and 2), and with two partitions running
+// concurrently as parallel bench trials do. It also pins the goroutine
+// model: from inside a domain-0 event, Run has added exactly n-1
+// goroutines (the caller executes domain 0), and after Run returns no
+// domain goroutine is counted live. Run under -race this is also the
+// partition's concurrency-safety check.
 func TestPartitionMatchesSerial(t *testing.T) {
-	for _, domains := range []int{2, 3, 4, 7} {
-		want := runRingSerial(domains, 600*Microsecond)
-		got := runRingParallel(domains, 600*Microsecond)
-		diffTraces(t, fmt.Sprintf("domains=%d", domains), want, got)
+	const until = 600 * Microsecond
+	cases := []struct {
+		procs      int // GOMAXPROCS for the case; 0 leaves it alone
+		domains    int
+		concurrent bool
+	}{
+		{0, 2, false}, {0, 3, false}, {0, 4, false}, {0, 7, false},
+		{1, 2, false}, {1, 4, false}, {2, 4, false},
+		{0, 2, true},
 	}
+	for _, c := range cases {
+		t.Run(fmt.Sprintf("procs=%d,domains=%d,concurrent=%v", c.procs, c.domains, c.concurrent), func(t *testing.T) {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(c.procs)) // 0 only reads it
+			want := runRingSerial(c.domains, until)
+			if c.concurrent {
+				var got [2][]string
+				var wg sync.WaitGroup
+				for i := range got {
+					wg.Add(1)
+					go func(i int) {
+						defer wg.Done()
+						got[i] = runRingParallel(c.domains, until)
+					}(i)
+				}
+				wg.Wait()
+				for i := range got {
+					diffTraces(t, fmt.Sprintf("run %d", i), want, got[i])
+				}
+			} else {
+				m := newRing(c.domains)
+				m.seed()
+				before := settledGoroutines()
+				added := -1
+				m.p.Sched(0).At(0, func() { added = runtime.NumGoroutine() - before })
+				m.p.Run(until)
+				diffTraces(t, "parallel", want, m.collect())
+				if added != c.domains-1 {
+					t.Errorf("Run added %d goroutines, want %d", added, c.domains-1)
+				}
+			}
+			if live := liveDomains.Load(); live != 0 {
+				t.Errorf("%d domain goroutines live after Run, want 0", live)
+			}
+		})
+	}
+}
+
+// TestPartitionPanicInCoordinatorDomain verifies a panic in domain 0 —
+// executed on the goroutine that called Run — reaches the caller only
+// after the other domains finished their current window and the workers
+// stopped: domain 1, slowed mid-window, has written its own state before
+// the recover runs (the race detector checks the hand-off), the live
+// domain count is back where it was, and a fresh partition runs
+// normally afterwards.
+func TestPartitionPanicInCoordinatorDomain(t *testing.T) {
+	before := liveDomains.Load()
+	p := NewPartition(2)
+	p.SetLookahead(Microsecond)
+	started := make(chan struct{})
+	d1done := false // written by domain 1 only
+	p.Sched(1).At(0, func() {
+		close(started)
+		time.Sleep(20 * time.Millisecond)
+		d1done = true
+	})
+	p.Sched(0).At(0, func() {
+		<-started
+		panic("domain 0 event")
+	})
+	func() {
+		defer func() {
+			if r := recover(); r != "domain 0 event" {
+				t.Fatalf("recovered %v, want the domain-0 panic", r)
+			}
+			if !d1done {
+				t.Error("domain 1's window had not completed when the panic reached the caller")
+			}
+			if live := liveDomains.Load(); live != before {
+				t.Errorf("live domain goroutines = %d after the panic, want %d", live, before)
+			}
+		}()
+		p.Run(10 * Microsecond)
+		t.Fatal("Run returned instead of panicking")
+	}()
+	diffTraces(t, "after panic", runRingSerial(2, 600*Microsecond), runRingParallel(2, 600*Microsecond))
 }
 
 // TestPartitionRepeatable verifies back-to-back parallel runs agree
