@@ -58,9 +58,9 @@ fuzz:
 
 # Hot-path micro-benchmarks (scheduler, including the lane heap at 8,
 # 160 and 640 lanes in BenchmarkSchedulerManyLanes, + switch cycle +
-# event queue).
+# event queue + netsim frame delivery + traffic manager).
 bench:
-	$(GO) test -bench 'BenchmarkScheduler|BenchmarkSwitch|BenchmarkQueue' -benchmem -run xxx ./internal/sim ./internal/core ./internal/events
+	$(GO) test -bench 'BenchmarkScheduler|BenchmarkSwitch|BenchmarkQueue|BenchmarkNetsim|BenchmarkEnqueueDequeue|BenchmarkPIFO' -benchmem -run xxx ./internal/sim ./internal/core ./internal/events ./internal/netsim ./internal/tm
 
 # Regenerate every table and figure.
 evbench:

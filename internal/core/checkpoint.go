@@ -338,6 +338,7 @@ func (s *Switch) Restore(d *checkpoint.Decoder) {
 		}
 		s.pipeQ = append(s.pipeQ, en)
 	}
+	s.txRescan()
 	// Re-arm the aux lane at the restored conveyor's minimum: the entries
 	// carry their original coordinates, so the resumed schedule fires them
 	// in exactly the uninterrupted order. RestoreArm, not auxArm: the arm

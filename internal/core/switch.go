@@ -255,6 +255,12 @@ type Switch struct {
 	tmPkts   []*packet.Packet
 	tmResult func(i int, ok bool)
 
+	// slotEv/slotKinds hold the events the merger gathered for the slot
+	// in flight. They live here rather than on runSlot's stack so a slot
+	// does not zero a NumKinds-wide event array before it starts.
+	slotEv    [events.NumKinds]events.Event
+	slotKinds [events.NumKinds]events.Kind
+
 	tmgr   *tm.TM
 	linkUp []bool
 	txBusy []bool
@@ -276,7 +282,11 @@ type Switch struct {
 	txDoneSeq   []uint64    // per-port tx-complete sequence number
 	txDonePend  []bool      // per-port tx-complete pending
 	txPendCount int         // how many txDonePend entries are set
-	auxLane     *sim.Lane   // fires the earliest conveyor entry
+	// txMin is the port of the earliest pending tx completion by (at, seq),
+	// or -1 when none is pending. pump keeps it with one comparison; only
+	// clearing the txMin port itself costs a rescan (txRescan).
+	txMin   int
+	auxLane *sim.Lane // fires the earliest conveyor entry
 
 	emptyPkt packet.Packet   // reused metadata-carrier slot packet
 	egrFree  []*pisa.Context // free list of egress contexts (pump re-enters)
@@ -341,6 +351,7 @@ func New(cfg Config, arch *Arch, sched *sim.Scheduler) *Switch {
 	s.txDoneAt = make([]sim.Time, cfg.Ports)
 	s.txDoneSeq = make([]uint64, cfg.Ports)
 	s.txDonePend = make([]bool, cfg.Ports)
+	s.txMin = -1
 	for i := range s.linkUp {
 		s.linkUp[i] = true
 	}
@@ -359,7 +370,8 @@ func New(cfg Config, arch *Arch, sched *sim.Scheduler) *Switch {
 		QueueCapBytes: cfg.QueueCapBytes,
 		Discipline:    cfg.Discipline,
 	})
-	s.tmgr.OnEvent = s.tmEvent
+	s.tmgr.OnEvent = s.pushEvent
+	s.tmgr.Wants = s.subscribed
 	s.tmResult = s.bulkEnqueueResult
 	return s
 }
@@ -428,15 +440,20 @@ func (s *Switch) MustLoad(p *pisa.Program) {
 
 // --- event sources -------------------------------------------------------
 
-// tmEvent receives traffic-manager events and routes them into the
-// merger's FIFOs when the architecture exposes them and the program
-// subscribes.
-func (s *Switch) tmEvent(e events.Event) {
-	s.pushEvent(e)
+// subscribed reports whether events of kind k reach the merger: the
+// architecture exposes the kind and the loaded program binds a handler
+// for it. It is asked per event, so a handler bound after Load takes
+// effect at once. The traffic manager's event tap (tm.TM.Wants) and the
+// transmit path ask it before building an event at all.
+func (s *Switch) subscribed(k events.Kind) bool {
+	return s.arch.Supports(k) && s.prog != nil && s.prog.Handles(k)
 }
 
+// pushEvent routes an event from a hardware source — the traffic
+// manager, the transmitters, timers, link status, the control plane, the
+// program's own raises — into the merger's FIFOs when it is subscribed.
 func (s *Switch) pushEvent(e events.Event) {
-	if !s.arch.Supports(e.Kind) || s.prog == nil || !s.prog.Handles(e.Kind) {
+	if !s.subscribed(e.Kind) {
 		return
 	}
 	e.Seq = s.evSeq
@@ -467,7 +484,7 @@ func (s *Switch) pushEvent(e events.Event) {
 // policy as any other, and ok reports whether its state survived
 // (stored or coalesced).
 func (s *Switch) InjectEvent(e events.Event) (ok bool) {
-	if !s.arch.Supports(e.Kind) || s.prog == nil || !s.prog.Handles(e.Kind) {
+	if !s.subscribed(e.Kind) {
 		return false
 	}
 	before := s.evq[e.Kind].Drops()
@@ -834,43 +851,18 @@ func (s *Switch) runSlot() (drained bool) {
 	// Gather this slot's events: at most one per kind, priority order.
 	// In the ablation's no-piggyback mode, a slot with pending events
 	// carries only events (an empty packet), and packets wait.
-	var slotEvents [events.NumKinds]events.Event
-	var nEvents int
-	var kinds [events.NumKinds]events.Kind
-	gatherEvents := func() {
-		if s.evMask&s.prioMask == 0 {
-			return
-		}
-		maxEv := s.cfg.MaxEventsPerSlot
-		for _, k := range s.cfg.MergerPriority {
-			if maxEv > 0 && nEvents >= maxEv {
-				break
-			}
-			if s.evMask&(1<<uint(k)) == 0 {
-				continue
-			}
-			if e, ok := s.evq[k].Pop(); ok {
-				slotEvents[nEvents] = e
-				kinds[nEvents] = k
-				nEvents++
-			}
-			if s.evq[k].Len() == 0 {
-				s.evMask &^= 1 << uint(k)
-			}
-		}
-	}
-
 	var pkt *packet.Packet
 	var pktKind events.Kind
 	var havePkt bool
+	var nEvents int
 	if s.cfg.NoPiggyback {
-		gatherEvents()
+		nEvents = s.gatherEvents()
 		if nEvents == 0 {
 			pkt, pktKind, havePkt = s.popPacket()
 		}
 	} else {
 		pkt, pktKind, havePkt = s.popPacket()
-		gatherEvents()
+		nEvents = s.gatherEvents()
 	}
 
 	switch {
@@ -907,9 +899,7 @@ func (s *Switch) runSlot() (drained bool) {
 
 	if s.OnSlot != nil {
 		info := SlotInfo{Cycle: cycle, At: now, PktKind: pktKind, PktLen: pkt.Len(), Empty: pkt.Empty}
-		for i := 0; i < nEvents; i++ {
-			info.Events = append(info.Events, kinds[i])
-		}
+		info.Events = append(info.Events, s.slotKinds[:nEvents]...)
 		s.OnSlot(info)
 	}
 
@@ -937,11 +927,12 @@ func (s *Switch) runSlot() (drained bool) {
 	}
 	if s.prog != nil {
 		for i := 0; i < nEvents; i++ {
-			ctx.Ev = slotEvents[i]
-			s.stats.EventsMerged[kinds[i]]++
+			k := s.slotKinds[i]
+			ctx.Ev = s.slotEv[i]
+			s.stats.EventsMerged[k]++
 			if s.tel != nil {
-				s.tel.Merged[kinds[i]].Inc()
-				s.tel.ObserveMerge(now, cycle, slotEvents[i], havePkt)
+				s.tel.Merged[k].Inc()
+				s.tel.ObserveMerge(now, cycle, s.slotEv[i], havePkt)
 			}
 			s.prog.Apply(ctx)
 		}
@@ -954,6 +945,34 @@ func (s *Switch) runSlot() (drained bool) {
 		s.prog.EndCycle()
 	}
 	return false
+}
+
+// gatherEvents pops the slot's events into slotEv/slotKinds — at most one
+// per kind, in merger priority order, up to MaxEventsPerSlot — and
+// returns how many it gathered.
+func (s *Switch) gatherEvents() int {
+	if s.evMask&s.prioMask == 0 {
+		return 0
+	}
+	n := 0
+	maxEv := s.cfg.MaxEventsPerSlot
+	for _, k := range s.cfg.MergerPriority {
+		if maxEv > 0 && n >= maxEv {
+			break
+		}
+		if s.evMask&(1<<uint(k)) == 0 {
+			continue
+		}
+		if e, ok := s.evq[k].Pop(); ok {
+			s.slotEv[n] = e
+			s.slotKinds[n] = k
+			n++
+		}
+		if s.evq[k].Len() == 0 {
+			s.evMask &^= 1 << uint(k)
+		}
+	}
+	return n
 }
 
 // fastForwardDrain batches a drain-only stretch: having just executed a
@@ -1138,20 +1157,29 @@ func (s *Switch) enqueueOutDelayed(pkt *packet.Packet, port, q int, rank, flowHa
 }
 
 // auxMin returns the coordinates of the earliest conveyor entry — the
-// pipe head or a pending tx completion — and which one it is (txPort is
-// -1 for the pipe head).
+// pipe head or the earliest pending tx completion (txMin) — and which one
+// it is (txPort is -1 for the pipe head).
 func (s *Switch) auxMin() (at sim.Time, seq uint64, txPort int, ok bool) {
 	txPort = -1
 	if s.pipeHead < len(s.pipeQ) {
 		e := &s.pipeQ[s.pipeHead]
 		at, seq, ok = e.at, e.seq, true
 	}
-	for p, pend := range s.txDonePend {
-		if pend && (!ok || s.txDoneAt[p] < at || (s.txDoneAt[p] == at && s.txDoneSeq[p] < seq)) {
-			at, seq, txPort, ok = s.txDoneAt[p], s.txDoneSeq[p], p, true
-		}
+	if p := s.txMin; p >= 0 && (!ok || s.txDoneAt[p] < at || (s.txDoneAt[p] == at && s.txDoneSeq[p] < seq)) {
+		at, seq, txPort, ok = s.txDoneAt[p], s.txDoneSeq[p], p, true
 	}
 	return at, seq, txPort, ok
+}
+
+// txRescan recomputes txMin from the pending tx completions.
+func (s *Switch) txRescan() {
+	s.txMin = -1
+	for p, pend := range s.txDonePend {
+		if pend && (s.txMin < 0 || s.txDoneAt[p] < s.txDoneAt[s.txMin] ||
+			(s.txDoneAt[p] == s.txDoneAt[s.txMin] && s.txDoneSeq[p] < s.txDoneSeq[s.txMin])) {
+			s.txMin = p
+		}
+	}
 }
 
 // auxArm points the aux lane at the earliest conveyor entry, or disarms
@@ -1173,6 +1201,9 @@ func (s *Switch) auxFire(txPort int) {
 	if txPort >= 0 {
 		s.txDonePend[txPort] = false
 		s.txPendCount--
+		if txPort == s.txMin {
+			s.txRescan()
+		}
 		if !s.inBurst {
 			s.auxArm()
 		}
@@ -1314,6 +1345,10 @@ func (s *Switch) pump(port int) {
 	s.txDoneSeq[port] = seq
 	s.txDonePend[port] = true
 	s.txPendCount++
+	// seq is the newest drawn, so an equal at never displaces txMin.
+	if m := s.txMin; m < 0 || at < s.txDoneAt[m] {
+		s.txMin = port
+	}
 	if s.inBurst {
 		return
 	}
@@ -1331,10 +1366,12 @@ func (s *Switch) txComplete(port int) {
 	s.txBusy[port] = false
 	s.stats.TxPackets++
 	s.stats.TxBytes += uint64(pkt.Len())
-	s.pushEvent(events.Event{
-		Kind: events.PacketTransmitted, When: s.sched.Now(),
-		Port: port, PktLen: pkt.Len(),
-	})
+	if s.subscribed(events.PacketTransmitted) {
+		s.pushEvent(events.Event{
+			Kind: events.PacketTransmitted, When: s.sched.Now(),
+			Port: port, PktLen: pkt.Len(),
+		})
+	}
 	if s.OnTransmit != nil {
 		// netsim's transmit hook copies the frame into its own pooled
 		// buffers before returning, so the packet can be recycled here.

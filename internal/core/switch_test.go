@@ -400,7 +400,8 @@ func TestEventFIFODropsWhenFull(t *testing.T) {
 func TestUnsubscribedEventsNotQueued(t *testing.T) {
 	sched := sim.NewScheduler()
 	sw := New(Config{}, EventDriven(), sched)
-	sw.MustLoad(xconnect()) // handles only IngressPacket
+	p := xconnect() // handles only IngressPacket
+	sw.MustLoad(p)
 	sw.Inject(0, frame(100, 1, 2))
 	sched.Run(sim.Millisecond)
 	if sw.EventQueueLen(events.BufferEnqueue) != 0 {
@@ -412,5 +413,17 @@ func TestUnsubscribedEventsNotQueued(t *testing.T) {
 	}
 	if st.TxPackets != 1 {
 		t.Errorf("tx = %d", st.TxPackets)
+	}
+
+	// Subscription is read per event: handlers bound after Load see the
+	// next packet's TM and transmit events.
+	p.HandleFunc(events.BufferEnqueue, func(*pisa.Context) {})
+	p.HandleFunc(events.PacketTransmitted, func(*pisa.Context) {})
+	sw.Inject(0, frame(100, 1, 2))
+	sched.Run(2 * sim.Millisecond)
+	st = sw.Stats()
+	if st.EventsMerged[events.BufferEnqueue] != 1 || st.EventsMerged[events.PacketTransmitted] != 1 {
+		t.Errorf("after binding handlers: merged enqueue=%d transmitted=%d, want 1 and 1",
+			st.EventsMerged[events.BufferEnqueue], st.EventsMerged[events.PacketTransmitted])
 	}
 }

@@ -485,9 +485,10 @@ type Network struct {
 	switches []*core.Switch
 	hosts    []*Host
 	links    []*Link
-	// byPort finds the link attached to a switch port.
-	byPort map[*core.Switch]map[int]*Link
-	taps   map[*core.Switch]func(port int, data []byte)
+	// ports holds each added switch's transmit record. The switch's
+	// OnTransmit closure captures its record directly, so a transmitted
+	// frame costs no map lookup; the map serves build-time callers only.
+	ports map[*core.Switch]*swPorts
 
 	hooked bool // barrier hook registered with the partition
 
@@ -510,10 +511,26 @@ type Network struct {
 // New builds an empty network on a single scheduler.
 func New(sched *sim.Scheduler) *Network {
 	return &Network{
-		sched:  sched,
-		byPort: make(map[*core.Switch]map[int]*Link),
-		taps:   make(map[*core.Switch]func(int, []byte)),
+		sched: sched,
+		ports: make(map[*core.Switch]*swPorts),
 	}
+}
+
+// swPorts is one switch's transmit record: the link on each port (nil
+// where none is attached) and the TapTransmit observer.
+type swPorts struct {
+	links []*Link
+	tap   func(port int, data []byte)
+}
+
+// portsOf returns an added switch's record, panicking for a switch that
+// was never passed to AddSwitch.
+func (n *Network) portsOf(sw *core.Switch, op string) *swPorts {
+	r := n.ports[sw]
+	if r == nil {
+		panic("netsim: " + op + ": switch " + sw.Name() + " not added with AddSwitch")
+	}
+	return r
 }
 
 // NewPartitioned builds an empty network over a partition: switches must
@@ -551,12 +568,13 @@ func (n *Network) AddSwitch(sw *core.Switch) {
 		panic("netsim: switch " + sw.Name() + " not built on a partition domain scheduler")
 	}
 	n.switches = append(n.switches, sw)
-	n.byPort[sw] = make(map[int]*Link)
+	r := &swPorts{links: make([]*Link, sw.Config().Ports)}
+	n.ports[sw] = r
 	sw.OnTransmit = func(port int, pkt *packet.Packet) {
-		if tap := n.taps[sw]; tap != nil {
-			tap(port, pkt.Data)
+		if r.tap != nil {
+			r.tap(port, pkt.Data)
 		}
-		if l := n.byPort[sw][port]; l != nil {
+		if l := r.links[port]; l != nil {
 			n.deliver(l, endpoint{sw: sw, port: port}, pkt.Data)
 		}
 	}
@@ -564,9 +582,10 @@ func (n *Network) AddSwitch(sw *core.Switch) {
 
 // TapTransmit registers an observer for a switch's transmissions without
 // disturbing link delivery (a switch's OnTransmit hook is owned by the
-// network once added). The observer runs in the switch's domain.
+// network once added). The observer runs in the switch's domain. It
+// panics for a switch that was never passed to AddSwitch.
 func (n *Network) TapTransmit(sw *core.Switch, f func(port int, data []byte)) {
-	n.taps[sw] = f
+	n.portsOf(sw, "TapTransmit").tap = f
 }
 
 // Switches lists the registered switches.
@@ -600,6 +619,7 @@ func (n *Network) schedOf(e, other endpoint) *sim.Scheduler {
 }
 
 func (n *Network) addLink(a, b endpoint, latency sim.Time) *Link {
+	ra, rb := n.switchPort(a), n.switchPort(b)
 	l := &Link{
 		net:     n,
 		id:      len(n.links),
@@ -622,13 +642,30 @@ func (n *Network) addLink(a, b endpoint, latency sim.Time) *Link {
 	l.fifo[0] = &wireFIFO{n: n, l: l, dir: 0}
 	l.fifo[1] = &wireFIFO{n: n, l: l, dir: 1}
 	n.links = append(n.links, l)
-	if a.sw != nil {
-		n.byPort[a.sw][a.port] = l
+	if ra != nil {
+		ra.links[a.port] = l
 	}
-	if b.sw != nil {
-		n.byPort[b.sw][b.port] = l
+	if rb != nil {
+		rb.links[b.port] = l
 	}
 	return l
+}
+
+// switchPort checks a link endpoint before the link is built and returns
+// its switch's record (nil for a host): the switch must have been added
+// and the port must exist on it. A bad port would otherwise surface only
+// when the first frame arrives (or never, on a link that then carries
+// nothing).
+func (n *Network) switchPort(e endpoint) *swPorts {
+	if e.sw == nil {
+		return nil
+	}
+	r := n.portsOf(e.sw, "link")
+	if e.port < 0 || e.port >= len(r.links) {
+		panic(fmt.Sprintf("netsim: port %d out of range for switch %s (%d ports)",
+			e.port, e.sw.Name(), len(r.links)))
+	}
+	return r
 }
 
 // Connect joins two switch ports with a link of the given propagation
@@ -950,4 +987,10 @@ func (n *Network) ConnectLeafSpine(tors, spines []*core.Switch, latency sim.Time
 func (n *Network) Links() []*Link { return n.links }
 
 // LinkAt returns the link on a switch port, or nil.
-func (n *Network) LinkAt(sw *core.Switch, port int) *Link { return n.byPort[sw][port] }
+func (n *Network) LinkAt(sw *core.Switch, port int) *Link {
+	r := n.ports[sw]
+	if r == nil || port < 0 || port >= len(r.links) {
+		return nil
+	}
+	return r.links[port]
+}

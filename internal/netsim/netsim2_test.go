@@ -111,3 +111,76 @@ func TestConnectLeafSpineValidatesPorts(t *testing.T) {
 	}()
 	net.ConnectLeafSpine([]*core.Switch{tor}, []*core.Switch{spine, spine, spine}, 0)
 }
+
+// mustPanic runs f and requires it to panic with exactly msg.
+func mustPanic(t *testing.T, msg string, f func()) {
+	t.Helper()
+	defer func() {
+		t.Helper()
+		if r := recover(); r != msg {
+			t.Fatalf("panic = %v, want %q", r, msg)
+		}
+	}()
+	f()
+}
+
+// TestConnectRejectsPortOutOfRange pins that a link to a port the switch
+// does not have fails when the topology is built, not at the first frame.
+func TestConnectRejectsPortOutOfRange(t *testing.T) {
+	sched := sim.NewScheduler()
+	net := New(sched)
+	s1 := core.New(core.Config{Name: "s1", Ports: 4}, core.Baseline(), sched)
+	s2 := core.New(core.Config{Name: "s2", Ports: 2}, core.Baseline(), sched)
+	net.AddSwitch(s1)
+	net.AddSwitch(s2)
+	mustPanic(t, "netsim: port 2 out of range for switch s2 (2 ports)", func() {
+		net.Connect(s1, 0, s2, 2, sim.Microsecond)
+	})
+	mustPanic(t, "netsim: port -1 out of range for switch s1 (4 ports)", func() {
+		net.Connect(s1, -1, s2, 0, sim.Microsecond)
+	})
+	if len(net.Links()) != 0 {
+		t.Fatalf("a rejected Connect left %d links behind", len(net.Links()))
+	}
+	if l := net.Connect(s1, 3, s2, 1, sim.Microsecond); net.LinkAt(s1, 3) != l || net.LinkAt(s2, 1) != l {
+		t.Fatal("LinkAt does not find a valid link")
+	}
+	if net.LinkAt(s1, 4) != nil || net.LinkAt(s1, -1) != nil {
+		t.Fatal("LinkAt returned a link for a port the switch does not have")
+	}
+}
+
+// TestAttachRejectsPortOutOfRange is TestConnectRejectsPortOutOfRange for
+// host links.
+func TestAttachRejectsPortOutOfRange(t *testing.T) {
+	sched := sim.NewScheduler()
+	net := New(sched)
+	sw := core.New(core.Config{Name: "s", Ports: 4}, core.Baseline(), sched)
+	net.AddSwitch(sw)
+	h := net.NewHost("h", packet.IP4(10, 0, 0, 1))
+	mustPanic(t, "netsim: port 4 out of range for switch s (4 ports)", func() {
+		net.Attach(h, sw, 4, sim.Microsecond)
+	})
+	if len(net.Links()) != 0 {
+		t.Fatalf("a rejected Attach left %d links behind", len(net.Links()))
+	}
+}
+
+// TestSwitchNotAddedPanics pins that taps and links on a switch the
+// network never registered fail loudly instead of going unheard.
+func TestSwitchNotAddedPanics(t *testing.T) {
+	sched := sim.NewScheduler()
+	net := New(sched)
+	added := core.New(core.Config{Name: "added"}, core.Baseline(), sched)
+	stray := core.New(core.Config{Name: "stray"}, core.Baseline(), sched)
+	net.AddSwitch(added)
+	mustPanic(t, "netsim: TapTransmit: switch stray not added with AddSwitch", func() {
+		net.TapTransmit(stray, func(int, []byte) {})
+	})
+	mustPanic(t, "netsim: link: switch stray not added with AddSwitch", func() {
+		net.Connect(added, 0, stray, 0, sim.Microsecond)
+	})
+	if net.LinkAt(stray, 0) != nil {
+		t.Fatal("LinkAt found a link on a switch that was never added")
+	}
+}

@@ -108,8 +108,16 @@ type TM struct {
 	ports []port
 
 	// OnEvent, when non-nil, receives BufferEnqueue, BufferDequeue,
-	// BufferOverflow and BufferUnderflow events as they happen.
+	// BufferOverflow and BufferUnderflow events as they happen, each
+	// stamped with the TM's next event sequence number. Wants, when
+	// non-nil, filters the tap by kind: it is asked at emit time, and an
+	// event whose kind it rejects is never built or delivered. A rejected
+	// event still consumes its sequence number, so the numbering (and a
+	// checkpoint of it) is the same with or without a filter. The switch
+	// installs its subscription predicate here, so only events some
+	// handler will see cost anything.
 	OnEvent func(events.Event)
+	Wants   func(events.Kind) bool
 
 	seq       uint64
 	enqueues  uint64
@@ -148,12 +156,25 @@ func New(cfg Config) *TM {
 // Config returns the configuration the TM was built with.
 func (t *TM) Config() Config { return t.cfg }
 
-func (t *TM) emit(e events.Event) {
-	if t.OnEvent != nil {
-		e.Seq = t.seq
-		t.seq++
-		t.OnEvent(e)
+// subscribed reports whether an event of kind k is to be built and
+// passed to emit. A kind the Wants filter rejects consumes its sequence
+// number here instead.
+func (t *TM) subscribed(k events.Kind) bool {
+	if t.OnEvent == nil {
+		return false
 	}
+	if t.Wants != nil && !t.Wants(k) {
+		t.seq++
+		return false
+	}
+	return true
+}
+
+// emit stamps and delivers an event subscribed has admitted.
+func (t *TM) emit(e *events.Event) {
+	e.Seq = t.seq
+	t.seq++
+	t.OnEvent(*e)
 }
 
 // Enqueue offers a packet to output queue q of the given port. rank is
@@ -167,14 +188,14 @@ func (t *TM) Enqueue(pkt *packet.Packet, outPort, q int, rank, flowHash uint64, 
 		q = 0
 	}
 	qu := &p.queues[q]
-	ev := events.Event{
-		When: now, Port: outPort, Queue: q,
-		PktLen: pkt.Len(), FlowHash: flowHash,
-	}
 	if qu.bytes+pkt.Len() > t.cfg.QueueCapBytes {
 		t.drops++
-		ev.Kind = events.BufferOverflow
-		t.emit(ev)
+		if t.subscribed(events.BufferOverflow) {
+			t.emit(&events.Event{
+				Kind: events.BufferOverflow, When: now, Port: outPort, Queue: q,
+				PktLen: pkt.Len(), FlowHash: flowHash,
+			})
+		}
 		return false
 	}
 	it := item{pkt: pkt, flowHash: flowHash, rank: rank, enqAt: now}
@@ -188,8 +209,12 @@ func (t *TM) Enqueue(pkt *packet.Packet, outPort, q int, rank, flowHash uint64, 
 		p.pifo.Push(pifoRef{q: q}, rank)
 	}
 	t.enqueues++
-	ev.Kind = events.BufferEnqueue
-	t.emit(ev)
+	if t.subscribed(events.BufferEnqueue) {
+		t.emit(&events.Event{
+			Kind: events.BufferEnqueue, When: now, Port: outPort, Queue: q,
+			PktLen: pkt.Len(), FlowHash: flowHash,
+		})
+	}
 	return true
 }
 
@@ -267,12 +292,14 @@ func (t *TM) Dequeue(outPort int, now sim.Time) (*packet.Packet, bool) {
 	p.bytes -= it.pkt.Len()
 	t.totalByte -= it.pkt.Len()
 	t.dequeues++
-	t.emit(events.Event{
-		Kind: events.BufferDequeue, When: now, Port: outPort, Queue: q,
-		PktLen: it.pkt.Len(), FlowHash: it.flowHash,
-	})
-	if p.bytes == 0 {
-		t.emit(events.Event{Kind: events.BufferUnderflow, When: now, Port: outPort, Queue: q})
+	if t.subscribed(events.BufferDequeue) {
+		t.emit(&events.Event{
+			Kind: events.BufferDequeue, When: now, Port: outPort, Queue: q,
+			PktLen: it.pkt.Len(), FlowHash: it.flowHash,
+		})
+	}
+	if p.bytes == 0 && t.subscribed(events.BufferUnderflow) {
+		t.emit(&events.Event{Kind: events.BufferUnderflow, When: now, Port: outPort, Queue: q})
 	}
 	return it.pkt, true
 }
