@@ -1,24 +1,28 @@
 GO ?= go
 
-.PHONY: check vet lint build test perfbench-test race fuzz bench evbench bench-json bench-smoke bench-diff burst-smoke check-backends telemetry-smoke crash-smoke obs-smoke scale-smoke
+.PHONY: check vet lint build test perfbench-test race fuzz bench evbench bench-json bench-smoke bench-diff check-backends telemetry-smoke crash-smoke obs-smoke scale-smoke
 
 # The gate everything must pass: static checks, a full build, the test
 # suite, the concurrency-sensitive packages (parallel experiment
 # harness, partitioned engine, fault injection) under the race detector,
 # an end-to-end telemetry export check, the µP4 backend differential
-# check, the burst-datapath differential check, the crash-injection
-# checkpoint/restore harness, the observability-plane read-only check,
+# check, the crash-injection checkpoint/restore harness, the observability-plane read-only check,
 # the fat-tree partitioned-digest smoke, the repository benchmark's own
 # tests, and a perf regression diff against the committed baseline.
-check: lint build test perfbench-test race telemetry-smoke check-backends burst-smoke crash-smoke obs-smoke scale-smoke bench-diff
+check: lint build test perfbench-test race telemetry-smoke check-backends crash-smoke obs-smoke scale-smoke bench-diff
 
 vet:
 	$(GO) vet ./...
 
-# Static analysis: go vet always; staticcheck when installed (the CI
-# image may not ship it — the gate degrades to vet-only with a notice
-# rather than failing on a missing tool).
+# Static analysis: go vet and a gofmt check (fails when any Go file
+# needs formatting) always; staticcheck when installed (the CI image may
+# not ship it — that part degrades to a notice rather than failing on a
+# missing tool).
 lint: vet
+	@unformatted=$$(gofmt -l cmd internal examples perfbench *.go); \
+	if [ -n "$$unformatted" ]; then \
+		echo "lint: gofmt needed on:"; echo "$$unformatted"; exit 1; \
+	fi
 	@if command -v staticcheck >/dev/null 2>&1; then \
 		staticcheck ./...; \
 	else \
@@ -41,10 +45,10 @@ perfbench-test:
 # is minutes under the race detector on one core. scale-smoke runs the
 # reduced fat tree race-checked instead.
 race:
-	$(GO) test -race ./internal/bench -run 'TestParallel|TestResilience|TestDomain|TestTelemetry|TestFastForward|TestUP4|TestTrialPanic|TestJournal|TestBurst|TestObs'
-	$(GO) test -race ./internal/sim -run 'TestPartition|TestAtWire|TestRunBefore|TestAdvanceTo|TestBatched|TestSlimState|TestLaneHeap|TestRestoreArm'
-	$(GO) test -race ./internal/netsim -run 'TestPartitioned|TestScheduleLinkChange|TestCrossDomain|TestBurst'
-	$(GO) test -race ./internal/core -run 'TestBurst|TestSwitchBurst'
+	$(GO) test -race ./internal/bench -run 'TestParallel|TestResilience|TestDomain|TestTelemetry|TestFastForward|TestUP4|TestTrialPanic|TestJournal|TestObs'
+	$(GO) test -race ./internal/sim -run 'TestPartition|TestAtWire|TestRunBefore|TestBatched|TestSlimState|TestLaneHeap|TestRestoreArm'
+	$(GO) test -race ./internal/netsim -run 'TestPartitioned|TestScheduleLinkChange|TestCrossDomain|TestBurst|TestCheckpointFramesInFlight'
+	$(GO) test -race ./internal/core -run 'TestBurst|TestSwitchBurst|TestSwitchTxMin'
 	$(GO) test -race ./internal/faults
 	$(GO) test -race ./internal/checkpoint
 	$(GO) test -race ./internal/telemetry ./internal/telemetry/self ./internal/obs
@@ -74,8 +78,8 @@ bench-json:
 # Compare BENCH_<id>.json report pairs (override OLD/NEW, OLD2/NEW2):
 #   make bench-diff OLD=BENCH_scale.before.json NEW=BENCH_scale.json
 # Prints malloc / alloc-bytes / wall / cycles-per-sec deltas (aggregate
-# and per perf row, including the burst-off oracle rows) and fails if
-# the deterministic table or telemetry digest changed.
+# and per perf row) and fails if the deterministic table or telemetry
+# digest changed.
 OLD ?= BENCH_scale.before.json
 NEW ?= BENCH_scale.json
 OLD2 ?= BENCH_up4.before.json
@@ -89,14 +93,6 @@ bench-smoke:
 	$(GO) run ./cmd/evbench -domains 1 > /tmp/evbench.d1.txt
 	$(GO) run ./cmd/evbench -domains 2 > /tmp/evbench.d2.txt
 	diff /tmp/evbench.d1.txt /tmp/evbench.d2.txt && echo "bench-smoke: -domains 1 == -domains 2"
-
-# Burst datapath differential check at the experiment level: every table
-# and figure regenerated with the default burst engine must be
-# byte-identical to the per-packet oracle (-burst 0).
-burst-smoke:
-	$(GO) run ./cmd/evbench > /tmp/evbench.burst.txt
-	$(GO) run ./cmd/evbench -burst 0 > /tmp/evbench.noburst.txt
-	diff /tmp/evbench.burst.txt /tmp/evbench.noburst.txt && echo "burst-smoke: burst == -burst 0"
 
 # µP4 backend differential check at the experiment level: every table
 # and figure regenerated with compiled closures must be byte-identical
@@ -136,8 +132,8 @@ telemetry-smoke:
 # Observability-plane read-only check: the scale campaign with the HTTP
 # introspection endpoint + streaming telemetry enabled must render a
 # byte-identical table to a plain run at -parallel 8 -domains 2, with a
-# live mid-run scrape seeing non-zero barrier-stall and burst-occupancy
-# self-metrics (TestObsSmoke), plus the harness-level export-identity
+# live mid-run scrape seeing non-zero barrier-stall self-metrics
+# (TestObsSmoke), plus the harness-level export-identity
 # and streamed-file checks.
 obs-smoke:
 	$(GO) test ./cmd/evbench -run TestObsSmoke -count 1

@@ -8,12 +8,12 @@
 //	          BENCH_up4.before.json   BENCH_up4.json
 //
 // Below the aggregates it diffs the per-sample cycles-per-second rows,
-// matched by (label, domains): rows present only in the new report (the
-// burst-off oracle rows, for example) are listed as "new". Samples
-// carrying a per_core_efficiency value (speedup over min(domains,
-// num_cpu) usable cores) get an eff column, and a matched multi-domain
-// row whose speedup fell below 0.7x of the old report's is a scaling
-// regression: reported on stderr and exits non-zero.
+// matched by (label, domains): rows present only in the new report are
+// listed as "new". Samples carrying a per_core_efficiency value (speedup
+// over min(domains, num_cpu) usable cores) get an eff column, and a
+// matched multi-domain row whose speedup fell below 0.7x of the old
+// report's is a scaling regression: reported on stderr and exits
+// non-zero.
 //
 // The deterministic experiment table embedded in each report is also
 // compared: a perf optimization must not change a single cell, so a table

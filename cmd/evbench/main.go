@@ -9,8 +9,6 @@
 //	evbench -domains 4               # split topologies across 4 partition domains
 //	evbench -domains auto            # one domain per core, load-aware switch assignment
 //	evbench -interp                  # run µP4 programs under the interpreter oracle
-//	evbench -burst 0                 # per-packet datapath (burst differential oracle)
-//	evbench -burst 128               # wider burst slot budget per pipeline wakeup
 //	evbench -benchjson .             # also write BENCH_<id>.json per experiment
 //	evbench -cpuprofile cpu.pprof    # write a CPU profile
 //	evbench -memprofile mem.pprof    # write an allocation profile
@@ -65,7 +63,6 @@ import (
 	"time"
 
 	"repro/internal/bench"
-	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/p4"
 	"repro/internal/telemetry"
@@ -110,8 +107,6 @@ func run(args []string, out, errw io.Writer) int {
 		"write the telemetry metrics document to `file`; needs -exp")
 	interp := fs.Bool("interp", false,
 		"execute µP4 programs with the interpreter instead of compiled closures (differential oracle)")
-	burst := fs.Int("burst", -1,
-		"burst slot budget per pipeline wakeup (0 = per-packet differential oracle, -1 = default)")
 	resume := fs.String("resume", "",
 		"journal completed trials in `file` and skip them on rerun; needs -exp")
 	if err := fs.Parse(args); err != nil {
@@ -139,12 +134,6 @@ func run(args []string, out, errw io.Writer) int {
 		}
 	}
 	p4.ForceInterpret = *interp
-	switch {
-	case *burst == 0:
-		core.ForceNoBurst = true
-	case *burst > 0:
-		core.DefaultBurstSlots = *burst
-	}
 
 	streaming := *streamTrace != "" || *streamMetrics != ""
 	telemetryOn := *traceFile != "" || *metricsFile != "" || streaming

@@ -31,15 +31,12 @@ func TestExitCodes(t *testing.T) {
 		{[]string{"-arch", "bogus"}, exitUsage},
 		{[]string{"-ms", "0"}, exitUsage},
 		{[]string{"-ports", "-2"}, exitUsage},
-		{[]string{"-checkpoint-every", "1ms"}, exitUsage},                          // no -checkpoint
-		{[]string{"-checkpoint-every", "soon", "-checkpoint", ckpt}, exitUsage},    // bad duration
-		{[]string{"-p4", filepath.Join(dir, "missing.up4")}, exitRuntime},          // unreadable program
-		{[]string{"-resume", filepath.Join(dir, "missing.ckpt")}, exitRuntime},     // unreadable checkpoint
-		{[]string{"-ms", "1", "-load", "0.5", "-resume", ckpt}, exitUsage},         // digest mismatch
-		// A checkpoint cut by the burst engine must not silently resume
-		// under the per-packet oracle (or vice versa): -burst is part of
-		// the config digest, so the mode flip is refused up front.
-		{[]string{"-ms", "1", "-burst", "0", "-checkpoint-every", "500us", "-resume", ckpt}, exitUsage},
+		{[]string{"-checkpoint-every", "1ms"}, exitUsage},                       // no -checkpoint
+		{[]string{"-checkpoint-every", "soon", "-checkpoint", ckpt}, exitUsage}, // bad duration
+		{[]string{"-p4", filepath.Join(dir, "missing.up4")}, exitRuntime},       // unreadable program
+		{[]string{"-resume", filepath.Join(dir, "missing.ckpt")}, exitRuntime},  // unreadable checkpoint
+		{[]string{"-ms", "1", "-load", "0.5", "-resume", ckpt}, exitUsage},      // digest mismatch
+		{[]string{"-burst", "0"}, exitUsage},                                    // the per-packet schedule is the only datapath
 		{[]string{"-ms", "1", "-checkpoint-every", "500us", "-resume", ckpt}, exitOK},
 	}
 	for _, c := range cases {
@@ -86,29 +83,6 @@ func TestResumeByteIdenticalInProcess(t *testing.T) {
 	if plain.String() != first.String() || first.String() != resumed.String() {
 		t.Errorf("outputs diverge:\n--- plain ---\n%s--- checkpointed ---\n%s--- resumed ---\n%s",
 			plain.String(), first.String(), resumed.String())
-	}
-
-	// The same cycle under the per-packet oracle (-burst 0): the oracle's
-	// checkpoint/resume must be self-consistent, and its statistics must
-	// match the burst engine's byte for byte — the evsim-level burst
-	// differential.
-	ckptOracle := filepath.Join(dir, "oracle.ckpt")
-	oflags := []string{"-ms", "4", "-burst", "0", "-checkpoint-every", "1ms"}
-	var ofirst bytes.Buffer
-	if code := run(append(append([]string{}, oflags...), "-checkpoint", ckptOracle), &ofirst, &bytes.Buffer{}); code != exitOK {
-		t.Fatalf("oracle checkpointed run exited %d", code)
-	}
-	var oresumed bytes.Buffer
-	if code := run(append(append([]string{}, oflags...), "-resume", ckptOracle), &oresumed, &errw); code != exitOK {
-		t.Fatalf("oracle resumed run exited %d: %s", code, errw.String())
-	}
-	if ofirst.String() != oresumed.String() {
-		t.Errorf("oracle resume diverges:\n--- checkpointed ---\n%s--- resumed ---\n%s",
-			ofirst.String(), oresumed.String())
-	}
-	if ofirst.String() != plain.String() {
-		t.Errorf("burst engine and per-packet oracle diverge:\n--- burst ---\n%s--- oracle ---\n%s",
-			plain.String(), ofirst.String())
 	}
 }
 
@@ -173,9 +147,8 @@ func TestCrashSIGKILLResume(t *testing.T) {
 
 	const horizon = "30" // ~2s wall: the kill window below always lands mid-run
 	ckpt := filepath.Join(dir, "crash.ckpt")
-	// Default flags run the burst engine (-burst -1), so the SIGKILL lands
-	// in a run whose checkpoints carry conveyor entries and arrival-FIFO
-	// frames mid-burst.
+	// The SIGKILL lands in a run whose checkpoints carry pipeline
+	// conveyor entries and in-flight transmissions.
 	flags := []string{"-ms", horizon, "-checkpoint-every", "2ms"}
 
 	ref, err := exec.Command(bin, append(append([]string{}, flags...), "-checkpoint", filepath.Join(dir, "ref.ckpt"))...).Output()

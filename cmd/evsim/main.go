@@ -6,7 +6,6 @@
 //	evsim -arch baseline -overspeed 1.0 -load 1.0
 //	evsim -p4 program.up4 -ms 5
 //	evsim -p4 program.up4 -interp    # interpreter oracle instead of compiled closures
-//	evsim -burst 0                   # per-packet datapath (burst differential oracle)
 //	evsim -ms 10 -checkpoint-every 1ms -checkpoint run.ckpt
 //	evsim -ms 10 -checkpoint-every 1ms -resume run.ckpt
 //	evsim -ms 10 -http 127.0.0.1:9100   # /metrics, /status, /debug/pprof
@@ -100,7 +99,6 @@ type config struct {
 	p4file    string
 	p4src     string // program source (content, not path)
 	interp    bool
-	burst     int
 	seed      uint64
 	trace     int
 	traceFile string
@@ -148,7 +146,6 @@ func (c *config) digest() uint64 {
 		fmt.Sprint(c.gbps),
 		c.p4src,
 		fmt.Sprint(c.interp),
-		fmt.Sprint(c.burst),
 		fmt.Sprint(c.seed),
 		fmt.Sprint(c.telemetryOn()),
 		fmt.Sprint(int64(c.ckptEvery)),
@@ -169,8 +166,6 @@ func run(args []string, out, errw io.Writer) int {
 	p4file := fs.String("p4", "", "µP4 program to load (default: built-in forwarder)")
 	interp := fs.Bool("interp", false,
 		"run the -p4 program under the interpreter instead of compiled closures")
-	burst := fs.Int("burst", -1,
-		"burst slot budget per pipeline wakeup (0 = per-packet differential oracle, -1 = default)")
 	seed := fs.Uint64("seed", 1, "workload RNG seed")
 	domainsFlag := fs.String("domains", "1",
 		"partition domains (a count, or \"auto\" = one per core clamped to the task count); the switch runs in domain 0")
@@ -200,7 +195,7 @@ func run(args []string, out, errw io.Writer) int {
 	cfg := &config{
 		archName: *arch, load: *load, size: *size, ms: *ms,
 		overspeed: *overspeed, ports: *ports, gbps: *rate,
-		p4file: *p4file, interp: *interp, burst: *burst, seed: *seed, trace: *trace,
+		p4file: *p4file, interp: *interp, seed: *seed, trace: *trace,
 		traceFile: *traceFile, metrics: *metricsFile,
 		ckptPath: *ckptPath, resume: *resume,
 		httpAddr: *httpAddr, streamTrace: *streamTrace,
@@ -316,11 +311,6 @@ func build(cfg *config, start bool, out io.Writer) (*simState, error) {
 		Ports:     cfg.ports,
 		LineRate:  sim.Rate(cfg.gbps) * sim.Gbps,
 		Overspeed: cfg.overspeed,
-	}
-	if cfg.burst == 0 {
-		swCfg.NoBurst = true
-	} else if cfg.burst > 0 {
-		swCfg.BurstSlots = cfg.burst
 	}
 	st.sw = core.New(swCfg, st.arch, st.sched)
 

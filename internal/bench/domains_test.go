@@ -50,11 +50,8 @@ func TestScaleDigestsMatch(t *testing.T) {
 			t.Errorf("digest mismatch in scale row %v", row)
 		}
 	}
-	// One perf sample per row, plus one burst-off oracle sample per
-	// fabric (four fabrics: two leaf-spines, two fat trees) that never
-	// gets a table row.
-	if want := len(res.Rows) + 4; len(res.Perf) != want {
-		t.Errorf("perf samples = %d, want %d (one per row plus one -noburst per fabric)", len(res.Perf), want)
+	if len(res.Perf) != len(res.Rows) {
+		t.Errorf("perf samples = %d, want %d (one per row)", len(res.Perf), len(res.Rows))
 	}
 	// The latency-diverse fat trees are where adaptive batching must pay:
 	// their widest adaptive sample records the classic twin's barrier

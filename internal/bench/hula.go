@@ -116,8 +116,8 @@ type fabricMetrics struct {
 }
 
 // ident returns the simulation-identity view of the metrics: everything
-// that must be byte-identical across domain counts, batching modes, and
-// burst modes, with the coordination-shape metadata zeroed.
+// that must be byte-identical across domain counts and batching modes,
+// with the coordination-shape metadata zeroed.
 func (m fabricMetrics) ident() fabricMetrics {
 	m.windows, m.barriers = 0, 0
 	return m

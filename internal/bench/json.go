@@ -15,18 +15,18 @@ import (
 // Result; the report adds the host-dependent half — wall time, allocation
 // churn, and any wall-clock Perf samples the experiment recorded.
 type Report struct {
-	Experiment  string    `json:"experiment"`
-	Title       string    `json:"title"`
-	WallSeconds float64   `json:"wall_seconds"`
-	AllocBytes  uint64    `json:"alloc_bytes"`
-	Mallocs     uint64    `json:"mallocs"`
-	Parallelism int       `json:"parallelism"`
-	Domains     int       `json:"domains"`
-	GoMaxProcs  int       `json:"gomaxprocs"`
-	NumCPU      int       `json:"num_cpu"`
-	GoVersion   string    `json:"go_version"`
-	GOOS        string    `json:"goos"`
-	GOARCH      string    `json:"goarch"`
+	Experiment  string  `json:"experiment"`
+	Title       string  `json:"title"`
+	WallSeconds float64 `json:"wall_seconds"`
+	AllocBytes  uint64  `json:"alloc_bytes"`
+	Mallocs     uint64  `json:"mallocs"`
+	Parallelism int     `json:"parallelism"`
+	Domains     int     `json:"domains"`
+	GoMaxProcs  int     `json:"gomaxprocs"`
+	NumCPU      int     `json:"num_cpu"`
+	GoVersion   string  `json:"go_version"`
+	GOOS        string  `json:"goos"`
+	GOARCH      string  `json:"goarch"`
 	// CyclesPerSec aggregates the Perf samples (total simulated switch
 	// cycles over total sample wall time); 0 when the experiment records
 	// no samples.

@@ -5,7 +5,6 @@ import (
 	"runtime"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/sim"
 	"repro/internal/telemetry"
 )
@@ -34,8 +33,7 @@ type scaleRunner struct {
 //   - byte-identity: every row's digest must equal the 1-domain baseline
 //     for the same fabric — across domain counts, adaptive vs classic
 //     fixed-width windows ("Nc" rows), load-aware vs structured
-//     assignment ("N*" rows), and burst vs per-packet delivery (the
-//     -noburst oracle, Perf-only).
+//     assignment ("N*" rows).
 //   - wall-clock scaling: recorded in the Perf samples / BENCH_scale.json
 //     with per-core efficiency (speedup / min(domains, NumCPU)); the
 //     rendered table stays host-independent.
@@ -176,21 +174,6 @@ func ScaleBench() *Result {
 		ma, walla := timed(4, false, true, "d4auto")
 		row(ma, "4*", false)
 		sample(ma, walla, r.label+"-auto", 4)
-
-		// Burst-off differential: re-run the serial fabric through the
-		// per-packet oracle. The digest must match the burst-on baseline —
-		// a divergence is an engine bug, not a measurement, so it panics.
-		// The sample lands in the Perf list only (labelled -noburst); the
-		// rendered table stays burst-agnostic.
-		saved := core.ForceNoBurst
-		core.ForceNoBurst = true
-		mn, walln := timed(1, false, false, "noburst")
-		core.ForceNoBurst = saved
-		if mn.ident() != base.ident() {
-			panic(fmt.Sprintf("bench: scale %s per-packet oracle diverged from burst baseline (digest %016x vs %016x)",
-				r.label, mn.digest, base.digest))
-		}
-		sample(mn, walln, r.label+"-noburst", 1)
 	}
 
 	res.Notef("digest folds every switch/link/host counter; 'identical' checks it against the 1-domain baseline")

@@ -53,7 +53,7 @@ func UP4Bench() *Result {
 				backend = "interp"
 			}
 			start := time.Now()
-			m := runUP4Chain(name, interp, Domains(), "")
+			m := runUP4Chain(name, interp, Domains())
 			wall := time.Since(start)
 			ident := "baseline"
 			if bi == 0 {
@@ -73,26 +73,6 @@ func UP4Bench() *Result {
 				Speedup:      baseWall.Seconds() / wall.Seconds(),
 			})
 		}
-		// Burst-off differential row: the compiled backend re-runs through
-		// the per-packet oracle. Digest divergence is an engine bug and
-		// panics; the throughput lands in the Perf samples only.
-		saved := core.ForceNoBurst
-		core.ForceNoBurst = true
-		start := time.Now()
-		m := runUP4Chain(name, false, Domains(), "-noburst")
-		wall := time.Since(start)
-		core.ForceNoBurst = saved
-		if m.digest != base {
-			panic(fmt.Sprintf("bench: up4 %s per-packet oracle diverged from burst baseline (digest %016x vs %016x)",
-				name, m.digest, base))
-		}
-		res.Perf = append(res.Perf, PerfSample{
-			Label: "up4/" + name + "-compiled-noburst", Domains: Domains(),
-			WallSeconds:  wall.Seconds(),
-			Cycles:       m.cycles,
-			CyclesPerSec: float64(m.cycles) / wall.Seconds(),
-			Speedup:      baseWall.Seconds() / wall.Seconds(),
-		})
 	}
 	res.Notef("digest folds switch/link/host counters plus every µP4 register cell and table stat")
 	res.Notef("'identical' checks each interp row against its compiled baseline — the differential oracle")
@@ -113,7 +93,7 @@ type up4Metrics struct {
 // and flaps the sw0-sw1 link mid-run (event diversity for the link
 // handlers). The run is byte-identical at every domains value: switches
 // interact only through links and all RNG streams split at setup.
-func runUP4Chain(progName string, interp bool, domains int, telSuffix string) up4Metrics {
+func runUP4Chain(progName string, interp bool, domains int) up4Metrics {
 	src, ok := p4.Programs[progName]
 	if !ok {
 		panic("bench: unknown µP4 program " + progName)
@@ -165,7 +145,7 @@ func runUP4Chain(progName string, interp bool, domains int, telSuffix string) up
 	}
 	net.Connect(sws[0], 1, sws[1], 0, sim.Microsecond)
 	net.Connect(sws[1], 1, sws[2], 0, sim.Microsecond)
-	if tel := trialCollector(fmt.Sprintf("up4/%s-%s%s", progName, backendName(interp), telSuffix)); tel != nil {
+	if tel := trialCollector(fmt.Sprintf("up4/%s-%s", progName, backendName(interp))); tel != nil {
 		net.EnableTelemetry(tel)
 	}
 

@@ -36,8 +36,8 @@ func TestUP4BackendsInvariant(t *testing.T) {
 func TestUP4DomainsIdentical(t *testing.T) {
 	for _, prog := range up4Programs {
 		for _, interp := range []bool{false, true} {
-			m1 := runUP4Chain(prog, interp, 1, "")
-			m2 := runUP4Chain(prog, interp, 2, "")
+			m1 := runUP4Chain(prog, interp, 1)
+			m2 := runUP4Chain(prog, interp, 2)
 			if m1.digest != m2.digest {
 				t.Errorf("%s (interp=%v): domains=2 digest %016x != domains=1 digest %016x",
 					prog, interp, m2.digest, m1.digest)
@@ -48,8 +48,7 @@ func TestUP4DomainsIdentical(t *testing.T) {
 
 // TestUP4RowsSelfCheck runs the experiment once and asserts its built-in
 // differential column never reports a divergence, and that every row
-// carries a perf sample (plus one extra burst-off oracle sample per
-// program — those never get table rows).
+// carries exactly one perf sample.
 func TestUP4RowsSelfCheck(t *testing.T) {
 	res := UP4Bench()
 	for _, row := range res.Rows {
@@ -57,7 +56,7 @@ func TestUP4RowsSelfCheck(t *testing.T) {
 			t.Errorf("backend digest mismatch in up4 row %v", row)
 		}
 	}
-	if want := len(res.Rows) + len(up4Programs); len(res.Perf) != want {
-		t.Errorf("perf samples = %d, want %d (one per row plus one -noburst per program)", len(res.Perf), want)
+	if len(res.Perf) != len(res.Rows) {
+		t.Errorf("perf samples = %d, want %d (one per row)", len(res.Perf), len(res.Rows))
 	}
 }

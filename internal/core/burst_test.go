@@ -10,15 +10,15 @@ import (
 
 const burstFrames = 64
 
-// burstForwardRig is p4ForwardRig's vectorized twin: the same compiled
-// µP4 forward program, but each step injects a whole burst of frames in
-// one InjectBurst call and advances the scheduler far enough to drain
-// it. With noBurst the switch executes the identical workload one slot
-// per wakeup — the per-packet differential oracle.
-func burstForwardRig(tb testing.TB, noBurst bool) (step func(), sw *Switch, inst *p4.Instance) {
+// burstForwardRig is p4ForwardRig with a backlog: the same compiled µP4
+// forward program, but each step delivers a whole arrival burst of
+// frames to one port at one instant and advances the scheduler far
+// enough to drain it, so the rx ring, the pipeline conveyor and the TM
+// queue all hold many packets at once.
+func burstForwardRig(tb testing.TB) (step func(), sw *Switch) {
 	sched := sim.NewScheduler()
-	sw = New(Config{NoBurst: noBurst}, EventDriven(), sched)
-	inst = p4.MustCompile(forwardProgramSrc).Instantiate("fwd", p4.Options{Interpret: false})
+	sw = New(Config{}, EventDriven(), sched)
+	inst := p4.MustCompile(forwardProgramSrc).Instantiate("fwd", p4.Options{Interpret: false})
 	if err := inst.InstallEntry("fwd", []uint64{uint64(packet.IP4(10, 1, 0, 1))}, nil, 0, "set_port", 1); err != nil {
 		tb.Fatal(err)
 	}
@@ -36,79 +36,44 @@ func burstForwardRig(tb testing.TB, noBurst bool) (step func(), sw *Switch, inst
 	}
 	gap := (10 * sim.Gbps).ByteTime(len(frames[0]) + WireOverhead)
 	step = func() {
-		sw.InjectBurst(0, frames)
+		for _, f := range frames {
+			sw.Inject(0, f)
+		}
 		sched.Run(sched.Now() + burstFrames*gap)
 	}
-	// Warm the rx rings, packet pool, TM queues, and the burst request
-	// slices past their steady-state sizes.
+	// Warm the rx rings, packet pool, conveyor and TM queues past their
+	// steady-state sizes.
 	for i := 0; i < 100; i++ {
 		step()
 	}
-	return step, sw, inst
+	return step, sw
 }
 
-// TestSwitchBurstForwardZeroAlloc asserts the vectorized forward path —
-// InjectBurst through burst pipeline slots to bulk TM enqueue — performs
-// zero heap allocations in steady state, like its per-packet twin
-// TestSwitchForwardZeroAlloc.
+// TestSwitchBurstForwardZeroAlloc asserts the forward path stays free of
+// heap allocations under a 64-frame arrival burst, like its one-frame
+// twin TestSwitchForwardZeroAlloc.
 func TestSwitchBurstForwardZeroAlloc(t *testing.T) {
-	step, sw, _ := burstForwardRig(t, false)
+	step, sw := burstForwardRig(t)
 	before := sw.Stats().TxPackets
 	if avg := testing.AllocsPerRun(200, step); avg != 0 {
-		t.Errorf("burst forward path allocates %v per burst, want 0", avg)
+		t.Errorf("forward path allocates %v per arrival burst, want 0", avg)
 	}
 	if sw.Stats().TxPackets == before {
 		t.Fatal("nothing forwarded during the measurement")
 	}
 }
 
-// TestSwitchBurstEquivalence drives the same vectorized workload through
-// the burst engine and the per-packet oracle (Config.NoBurst) and
-// requires identical switch stats, register state, counters, and table
-// stats — the switch-level half of the burst differential.
-func TestSwitchBurstEquivalence(t *testing.T) {
-	type snapshot struct {
-		stats           Stats
-		occ, flow, tx   [8]int64
-		ports0, ports1  uint64
-		lookups, misses uint64
-	}
-	snap := func(noBurst bool) snapshot {
-		step, sw, inst := burstForwardRig(t, noBurst)
-		for i := 0; i < 200; i++ {
-			step()
-		}
-		var s snapshot
-		s.stats = sw.Stats()
-		for i := 0; i < 8; i++ {
-			s.occ[i] = inst.Register("occ").True(uint32(i))
-			s.flow[i] = inst.Register("flowbytes").True(uint32(i * 33))
-			s.tx[i] = inst.Register("txbytes").True(uint32(i))
-		}
-		s.ports0, _ = inst.Program().Counter("ports").Value(0)
-		s.ports1, _ = inst.Program().Counter("ports").Value(1)
-		s.lookups, s.misses = inst.Table("fwd").Stats()
-		return s
-	}
-	burst := snap(false)
-	oracle := snap(true)
-	if burst != oracle {
-		t.Fatalf("burst engine diverges from per-packet oracle:\nburst:  %+v\noracle: %+v", burst, oracle)
-	}
-	if burst.stats.TxPackets == 0 {
-		t.Fatalf("rig forwarded nothing: %+v", burst)
-	}
-}
-
-// TestBurstInjectLinkDown pins InjectBurst's port-down accounting: every
-// frame of a burst offered to a downed port is one RxDropped.
+// TestBurstInjectLinkDown pins the port-down accounting of Inject: every
+// frame of an arrival burst offered to a downed port is one RxDropped,
+// and none of them reaches the pipeline.
 func TestBurstInjectLinkDown(t *testing.T) {
 	sched := sim.NewScheduler()
 	sw := New(Config{Ports: 2}, EventDriven(), sched)
 	sw.MustLoad(xconnect())
 	sw.SetLink(0, false)
-	frames := [][]byte{frame(100, 1, 2), frame(100, 1, 2), frame(100, 1, 2)}
-	sw.InjectBurst(0, frames)
+	for i := 0; i < 3; i++ {
+		sw.Inject(0, frame(100, 1, 2))
+	}
 	if got := sw.Stats().RxDropped; got != 3 {
 		t.Fatalf("RxDropped = %d after burst into downed port, want 3", got)
 	}
@@ -118,19 +83,10 @@ func TestBurstInjectLinkDown(t *testing.T) {
 	}
 }
 
-// BenchmarkSwitchForwardPathBurst measures the vectorized forward path:
-// one 64-frame InjectBurst per iteration, executed by the burst slot
-// loop (0 allocs/op). Compare ns/op ÷ 64 against the per-frame cost of
-// the BurstOff variant below — the burst engine's per-frame win.
+// BenchmarkSwitchForwardPathBurst measures the forward path under a
+// 64-frame arrival burst per iteration (0 allocs/op). Compare ns/op ÷ 64
+// against BenchmarkSwitchForwardPath's one-frame steps.
 func BenchmarkSwitchForwardPathBurst(b *testing.B) {
-	step, sw, _ := burstForwardRig(b, false)
-	benchForward(b, step, sw)
-}
-
-// BenchmarkSwitchForwardPathBurstOff runs the identical 64-frame
-// workload through the per-packet oracle (Config.NoBurst): one pipeline
-// wakeup per slot, the dispatch cost the burst engine amortizes.
-func BenchmarkSwitchForwardPathBurstOff(b *testing.B) {
-	step, sw, _ := burstForwardRig(b, true)
+	step, sw := burstForwardRig(b)
 	benchForward(b, step, sw)
 }

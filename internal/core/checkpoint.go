@@ -290,7 +290,6 @@ func (s *Switch) Restore(d *checkpoint.Decoder) {
 		return
 	}
 
-	s.txPendCount = 0
 	for p := 0; p < s.cfg.Ports; p++ {
 		s.linkUp[p] = d.Bool()
 		s.txBusy[p] = d.Bool()
@@ -304,9 +303,6 @@ func (s *Switch) Restore(d *checkpoint.Decoder) {
 			s.txPkt[p] = nil
 		}
 		s.txDonePend[p] = d.Bool()
-		if s.txDonePend[p] {
-			s.txPendCount++
-		}
 		s.txDoneAt[p] = sim.Time(d.I64())
 		s.txDoneSeq[p] = d.U64()
 		if d.Err() != nil {

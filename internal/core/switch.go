@@ -8,7 +8,6 @@ import (
 	"repro/internal/pisa"
 	"repro/internal/sim"
 	"repro/internal/telemetry"
-	"repro/internal/telemetry/self"
 	"repro/internal/tm"
 )
 
@@ -73,17 +72,6 @@ type Config struct {
 	// scheduler lane. Differential tests use it to pin the fast path
 	// against the slow one; results are identical either way.
 	NoDrainFastForward bool
-	// NoBurst disables the burst slot loop for this switch: every
-	// pipeline slot then costs one full scheduler dispatch (lane arm,
-	// next-event scan, lane fire), exactly as before bursting existed.
-	// The per-frame path is the burst path's differential oracle; results
-	// are byte-identical either way.
-	NoBurst bool
-	// BurstSlots caps how many consecutive pipeline slots one cycle-lane
-	// firing may execute before returning to the scheduler (default
-	// DefaultBurstSlots). The cap only bounds latency of the in-callback
-	// loop; any value produces identical simulation output.
-	BurstSlots int
 }
 
 // ForceSlowDrain globally disables the drain fast-forward (as if every
@@ -92,27 +80,6 @@ type Config struct {
 // cycle-by-cycle path exactly. Not for concurrent mutation: set it before
 // building switches.
 var ForceSlowDrain bool
-
-// ForceNoBurst globally disables burst processing (as if every switch
-// were built with NoBurst), and internal/netsim reads it when deciding
-// whether links batch their arrival deliveries. evbench -burst=0 and the
-// burst differential tests flip it to prove the burst datapath replays
-// the per-frame path exactly. Not for concurrent mutation: set it before
-// building switches or networks.
-var ForceNoBurst bool
-
-// DefaultBurstSlots is the default per-wakeup slot budget of the burst
-// loop (Config.BurstSlots). evbench -burst=N overrides it process-wide.
-var DefaultBurstSlots = 64
-
-// BurstEngageDepth is how much queued work a wake must hold before the
-// burst paths engage their bracketing (aux-lane disarm plus continuation
-// proofs). Below the threshold the switch runs the plain single-slot /
-// single-delivery path — on lightly loaded fabrics the bracket costs
-// more than it saves. The gate reads only deterministic simulation state
-// (queue depths), and the single-slot path is the burst datapath's
-// byte-identical oracle, so engagement never changes output.
-var BurstEngageDepth = 2
 
 func (c Config) withDefaults() Config {
 	if c.Ports <= 0 {
@@ -208,18 +175,6 @@ type Switch struct {
 	cycleIdx    uint64
 	cycleLane   *sim.Lane
 	noFF        bool
-	noBurst     bool
-	burstSlots  int
-	// inBurst is set while the burst slot loop (or the aux lane's inline
-	// drain) is executing. While set, the aux lane is kept disarmed and
-	// conveyor mutations skip the arm-if-earlier bookkeeping: the loop
-	// consults auxMin directly with each entry's exact (at, seq), so the
-	// per-entry lane churn would be overwritten before anything could
-	// observe it. Every exit path re-establishes the armed-at-minimum
-	// invariant with auxArm before control returns to the scheduler, and
-	// fastForwardDrain bounds its stretch by auxMin explicitly so the
-	// hidden lane cannot widen the drain horizon.
-	inBurst bool
 
 	// slotNow/slotCycle snapshot the (time, cycle) pair at the top of the
 	// last runCycle. During a drain fast-forward the registers' cycles run
@@ -244,16 +199,9 @@ type Switch struct {
 	// evMask has bit k set while evq[k] is non-empty; prioMask has bit k
 	// set for kinds the merger actually drains (cfg.MergerPriority). The
 	// pair makes the per-slot event scan and the wake predicate O(1) when
-	// no events are pending — the common case in burst stretches.
+	// no events are pending — the common case under packet load.
 	evMask   uint32
 	prioMask uint32
-
-	// tmReqs is the scratch vector for bulk TM enqueues (finishSlot's
-	// generated-packet fan-out); tmPkts parallels it. tmResult is the
-	// per-item reaction, bound once so EnqueueN calls allocate nothing.
-	tmReqs   []tm.EnqueueReq
-	tmPkts   []*packet.Packet
-	tmResult func(i int, ok bool)
 
 	// slotEv/slotKinds hold the events the merger gathered for the slot
 	// in flight. They live here rather than on runSlot's stack so a slot
@@ -274,14 +222,12 @@ type Switch struct {
 	// is drawn from the shared counter at schedule time), and the aux
 	// lane is armed at the earliest entry's coordinates, so firing order
 	// against heap events, wire arrivals, and other lanes is byte-
-	// identical to per-event scheduling. The burst loop fires due entries
-	// inline, skipping the per-event dispatch entirely.
-	pipeQ       []pipeEntry // FIFO in (at, seq): slot → TM deliveries
-	pipeHead    int         // index of the conveyor's earliest entry
-	txDoneAt    []sim.Time  // per-port tx-complete instant
-	txDoneSeq   []uint64    // per-port tx-complete sequence number
-	txDonePend  []bool      // per-port tx-complete pending
-	txPendCount int         // how many txDonePend entries are set
+	// identical to per-event scheduling.
+	pipeQ      []pipeEntry // FIFO in (at, seq): slot → TM deliveries
+	pipeHead   int         // index of the conveyor's earliest entry
+	txDoneAt   []sim.Time  // per-port tx-complete instant
+	txDoneSeq  []uint64    // per-port tx-complete sequence number
+	txDonePend []bool      // per-port tx-complete pending
 	// txMin is the port of the earliest pending tx completion by (at, seq),
 	// or -1 when none is pending. pump keeps it with one comparison; only
 	// clearing the txMin port itself costs a rescan (txRescan).
@@ -323,14 +269,6 @@ func New(cfg Config, arch *Arch, sched *sim.Scheduler) *Switch {
 	cfg = cfg.withDefaults()
 	s := &Switch{cfg: cfg, arch: arch, sched: sched, pool: packet.NewPool()}
 	s.noFF = cfg.NoDrainFastForward || ForceSlowDrain
-	s.noBurst = cfg.NoBurst || ForceNoBurst
-	s.burstSlots = cfg.BurstSlots
-	if s.burstSlots <= 0 {
-		s.burstSlots = DefaultBurstSlots
-	}
-	if s.noBurst || s.burstSlots < 1 {
-		s.burstSlots = 1
-	}
 	for _, k := range cfg.MergerPriority {
 		s.prioMask |= 1 << uint(k)
 	}
@@ -372,23 +310,7 @@ func New(cfg Config, arch *Arch, sched *sim.Scheduler) *Switch {
 	})
 	s.tmgr.OnEvent = s.pushEvent
 	s.tmgr.Wants = s.subscribed
-	s.tmResult = s.bulkEnqueueResult
 	return s
-}
-
-// bulkEnqueueResult is finishSlot's per-item EnqueueN reaction: admitted
-// packets start their port's transmitter, rejected ones take the same
-// drop path enqueueOut would have taken.
-func (s *Switch) bulkEnqueueResult(i int, ok bool) {
-	if ok {
-		s.pump(s.tmReqs[i].Port)
-		return
-	}
-	pkt := s.tmPkts[i]
-	if s.OnDrop != nil {
-		s.OnDrop(pkt, "tm-overflow")
-	}
-	pkt.Release()
 }
 
 // Name returns the switch name.
@@ -511,29 +433,6 @@ func (s *Switch) Inject(port int, data []byte) {
 	s.wake()
 }
 
-// InjectBurst delivers a vector of fully received frames to one input
-// port, in order, as if Inject had been called once per frame at the
-// same instant. It is the switch half of the burst datapath: one wire
-// activation hands over a whole arrival burst, one wake arms the
-// pipeline. Frames arriving on a downed link are lost. Each frame is
-// copied into a pooled packet before InjectBurst returns.
-func (s *Switch) InjectBurst(port int, frames [][]byte) {
-	if port < 0 || port >= s.cfg.Ports {
-		panic(fmt.Sprintf("core: inject on invalid port %d", port))
-	}
-	if !s.linkUp[port] {
-		s.stats.RxDropped += uint64(len(frames))
-		return
-	}
-	for _, data := range frames {
-		s.stats.RxPackets++
-		s.stats.RxBytes += uint64(len(data))
-		s.rxq[port] = append(s.rxq[port], s.pool.GetCopy(data, port))
-	}
-	s.rxPending += len(frames)
-	s.wake()
-}
-
 // ConfigureTimer arms hardware timer id to fire TimerExpiration events
 // with the given period. It errors if the architecture lacks timers or
 // the id is out of range. Reconfiguring an armed timer replaces it.
@@ -584,9 +483,7 @@ func (s *Switch) AddGenerator(period sim.Time, mk func(seq uint64) (data []byte,
 		if data == nil {
 			return
 		}
-		s.stats.Generated++
-		pkt := s.pool.GetCopy(data, -1)
-		pkt.Gen = true
+		pkt := s.generated(data)
 		if port >= 0 {
 			// Direct injection to the TM, as when the generator is
 			// configured with a fixed output port.
@@ -638,21 +535,6 @@ func (s *Switch) havePacketWork() bool {
 	return s.rxPending > 0 || len(s.recirc) > 0 || len(s.genq) > 0
 }
 
-// packetBacklog is the number of packets queued for pipeline slots; the
-// burst loop engages only when it promises more than one slot of inline
-// work (see BurstEngageDepth).
-func (s *Switch) packetBacklog() int {
-	return s.rxPending + len(s.recirc) + len(s.genq)
-}
-
-// conveyorDepth is the number of pending conveyor entries (pipeline-
-// latency deliveries plus tx completions); the aux lane's inline burst
-// continuation engages only when at least BurstEngageDepth entries are
-// queued.
-func (s *Switch) conveyorDepth() int {
-	return len(s.pipeQ) - s.pipeHead + s.txPendCount
-}
-
 func (s *Switch) haveEventWork() bool {
 	return s.evMask&s.prioMask != 0
 }
@@ -671,7 +553,7 @@ func (s *Switch) haveDrainWork() bool {
 
 // wake arms the next pipeline cycle if work is pending. The cycle runs
 // on a scheduler lane: re-arming re-keys the lane in the scheduler's
-// lane heap, so bursts of back-to-back cycles never touch the event heap
+// lane heap, so runs of back-to-back cycles never touch the event heap
 // and never allocate.
 func (s *Switch) wake() {
 	if s.cycleLane.Armed() {
@@ -726,117 +608,22 @@ func (s *Switch) popPacket() (*packet.Packet, events.Kind, bool) {
 	return nil, 0, false
 }
 
-// runCycle fires on the cycle lane. It executes one pipeline slot, then —
-// the burst datapath — keeps executing consecutive slots inside the same
-// scheduler callback for as long as it can prove the scheduler would have
-// done nothing in between: work is still pending, no event (packet
-// arrival, tx completion, timer, partition barrier) is due at or before
-// the next slot's instant, and the next slot sits inside the active run
-// horizon. Each proven slot advances the clock with sim.AdvanceTo and
-// runs inline, skipping the lane re-arm, next-event scan, and lane fire
-// that the per-slot path pays per cycle. The slot bodies are identical,
-// every slot still observes the correct Now() and cycle index, and the
-// burst stops the moment the proof fails, so all output is byte-identical
-// to the NoBurst per-slot path (the differential oracle); only absolute —
-// never relative — scheduler sequence numbers differ. A pure drain slot
-// ends the burst: it already fast-forwards the whole drain stretch.
-//
-// Telemetry cycle counts are batched into one probe update per burst;
-// per-slot trace emissions and outcome counters are unchanged, and no
-// sampler can observe the counters mid-callback, so the batching is
-// invisible in all telemetry output.
+// runCycle fires on the cycle lane: one pipeline slot — one packet plus
+// at most one event per kind — then the lane re-arms for the next cycle
+// if work is still pending.
 func (s *Switch) runCycle() {
-	slots := uint64(0)
-	stop := false
-	// Adaptive engagement: the bracket (aux-lane disarm/re-arm) and the
-	// per-slot continuation proofs only pay for themselves when this wake
-	// plausibly holds several back-to-back slots. A light wake — fewer
-	// than BurstEngageDepth packets queued — runs the plain single-slot
-	// path, which is the per-event oracle, so the gate can depend on any
-	// deterministic simulation state without affecting output.
-	budget := s.burstSlots
-	if budget > 1 && s.packetBacklog() < BurstEngageDepth {
-		budget = 1
-	}
-	if budget > 1 {
-		s.inBurst = true
-		s.auxLane.Disarm()
-	}
-	for n := 1; ; n++ {
-		drained := s.runSlot()
-		slots++
-		if drained || n >= budget {
-			break
-		}
-		if !s.havePacketWork() && !s.haveEventWork() && !s.haveDrainWork() {
-			break
-		}
-		next := s.nextCycleAt
-		limit, strict := s.sched.RunBound()
-		if next > limit || (strict && next == limit) {
-			break
-		}
-		// Deliver the switch's own conveyor work due before (or at) the
-		// next slot inline: each pipeline-latency delivery or tx completion
-		// whose (at, seq) precedes everything the scheduler holds is
-		// exactly the event the scheduler would fire next, so running it
-		// here — with the clock advanced to its instant — reproduces the
-		// per-event schedule while skipping the dispatch. An entry at the
-		// slot's own instant drew its seq at least one cycle earlier than
-		// any arm of the cycle lane, so conveyor-before-slot is the heap
-		// order too. The moment something else precedes (another switch's
-		// lane, a wire arrival, a timer) or the run horizon intervenes, the
-		// burst ends and the scheduler resumes ordinary dispatch.
-		for {
-			at, seq, txPort, ok := s.auxMin()
-			if !ok || at > next {
-				break
-			}
-			if at > limit || (strict && at == limit) || s.sched.NextBefore(at, seq) {
-				stop = true
-				break
-			}
-			s.sched.AdvanceTo(at)
-			s.auxFire(txPort)
-		}
-		if stop {
-			break
-		}
-		if s.cycleLane.Armed() {
-			// A wake during this slot or an inline conveyor delivery armed
-			// our own cycle lane for the next slot — the firing this loop
-			// is about to perform inline. Take the arm over: with nothing
-			// in the scheduler preceding its exact (at, seq), disarming and
-			// running the slot here reproduces the lane dispatch verbatim.
-			lat, lseq, _ := s.cycleLane.ArmedAt()
-			if lat != next || s.sched.NextBefore(lat, lseq) {
-				break
-			}
-			s.cycleLane.Disarm()
-		} else if na, ok := s.sched.NextAt(); ok && na <= next {
-			break
-		}
-		s.sched.AdvanceTo(next)
-	}
-	if s.inBurst {
-		s.inBurst = false
-		s.auxArm()
-	}
+	s.runSlot()
 	if s.tel != nil {
-		s.tel.Cycles.Add(slots)
-	}
-	if self.On() {
-		self.BurstOcc.Observe(slots)
+		s.tel.Cycles.Inc()
 	}
 	s.wake()
 }
 
 // runSlot executes one pipeline cycle: the Event Merger forms a slot
 // (packet plus up to one event per kind), the program's handlers run, and
-// the aggregation registers drain with leftover bandwidth. It reports
-// whether the slot was a pure drain cycle (which fast-forwards the whole
-// drain stretch and therefore terminates a burst).
-func (s *Switch) runSlot() (drained bool) {
+// the aggregation registers drain with leftover bandwidth. A pure drain
+// cycle also fast-forwards the drain-only stretch that follows it.
+func (s *Switch) runSlot() {
 	now := s.sched.Now()
 	s.cycleIdx++
 	s.nextCycleAt = now + s.cycleTime
@@ -894,7 +681,7 @@ func (s *Switch) runSlot() (drained bool) {
 				s.fastForwardDrain(now)
 			}
 		}
-		return true
+		return
 	}
 
 	if s.OnSlot != nil {
@@ -944,7 +731,6 @@ func (s *Switch) runSlot() (drained bool) {
 	if s.prog != nil {
 		s.prog.EndCycle()
 	}
-	return false
 }
 
 // gatherEvents pops the slot's events into slotEv/slotKinds — at most one
@@ -1009,18 +795,6 @@ func (s *Switch) fastForwardDrain(now sim.Time) {
 			maxK = k
 		}
 	}
-	// The conveyor is its own horizon source: mid-burst the aux lane is
-	// hidden from NextAt, so consult the entries directly. Outside a burst
-	// the lane is armed at exactly this minimum and the bound repeats the
-	// NextAt clamp verbatim.
-	if at, _, _, ok := s.auxMin(); ok {
-		if at <= now {
-			return
-		}
-		if k := (int64(at-now) - 1) / ct; k < maxK {
-			maxK = k
-		}
-	}
 	if limit, strict := s.sched.RunBound(); limit != sim.Forever {
 		d := int64(limit - now)
 		if strict {
@@ -1066,29 +840,18 @@ func (s *Switch) finishSlot(ctx *pisa.Context, havePkt bool) {
 	for _, e := range ctx.Raised {
 		s.pushEvent(e)
 	}
-	if len(ctx.Generated) > 0 {
-		// Materialize the slot's generated packets, then hand the ones
-		// with explicit ports to the TM in one bulk call. EnqueueN runs
-		// the per-packet reaction (pump / drop) between items exactly
-		// where a per-packet Enqueue loop would, so event sequence
-		// numbers and transmit timings are unchanged.
-		s.tmReqs = s.tmReqs[:0]
-		s.tmPkts = s.tmPkts[:0]
-		for _, g := range ctx.Generated {
-			s.stats.Generated++
-			pkt := s.pool.GetCopy(g.Data, -1)
-			pkt.Gen = true
-			if g.Port >= 0 && g.Port < s.cfg.Ports {
-				s.tmReqs = append(s.tmReqs, tm.EnqueueReq{
-					Pkt: pkt, Port: g.Port, FlowHash: flowHashOf(g.Data),
-				})
-				s.tmPkts = append(s.tmPkts, pkt)
-			} else {
-				s.genq = append(s.genq, pkt)
-			}
+	// Generated packets without a valid port wait for a slot of their
+	// own; the rest go straight to the TM. The port-less ones join genq
+	// first, ahead of anything an egress handler generates while the
+	// others are pumped out.
+	for _, g := range ctx.Generated {
+		if g.Port < 0 || g.Port >= s.cfg.Ports {
+			s.genq = append(s.genq, s.generated(g.Data))
 		}
-		if len(s.tmReqs) > 0 {
-			s.tmgr.EnqueueN(s.tmReqs, s.sched.Now(), s.tmResult)
+	}
+	for _, g := range ctx.Generated {
+		if g.Port >= 0 && g.Port < s.cfg.Ports {
+			s.enqueueOut(s.generated(g.Data), g.Port, 0, 0, flowHashOf(g.Data))
 		}
 	}
 	if !havePkt {
@@ -1125,6 +888,15 @@ func (s *Switch) finishSlot(ctx *pisa.Context, havePkt bool) {
 	s.enqueueOutDelayed(pkt, ctx.EgressPort, ctx.Queue, ctx.Rank, fh)
 }
 
+// generated materializes a frame the program generated into a pooled
+// packet.
+func (s *Switch) generated(data []byte) *packet.Packet {
+	s.stats.Generated++
+	pkt := s.pool.GetCopy(data, -1)
+	pkt.Gen = true
+	return pkt
+}
+
 // pipeEntry is one packet riding the pipeline conveyor: the
 // pipeline-latency delay between its slot and the traffic manager. The
 // entry's (at, seq) are the exact coordinates the equivalent scheduler
@@ -1148,9 +920,6 @@ func (s *Switch) enqueueOutDelayed(pkt *packet.Packet, port, q int, rank, flowHa
 	s.pipeQ = append(s.pipeQ, pipeEntry{
 		pkt: pkt, port: port, q: q, rank: rank, flowHash: flowHash, at: at, seq: seq,
 	})
-	if s.inBurst {
-		return
-	}
 	if at0, seq0, armed := s.auxLane.ArmedAt(); !armed || at < at0 || (at == at0 && seq < seq0) {
 		s.auxLane.ArmExact(at, seq)
 	}
@@ -1185,8 +954,8 @@ func (s *Switch) txRescan() {
 // auxArm points the aux lane at the earliest conveyor entry, or disarms
 // it when the conveyor is empty. The invariant — the aux lane is always
 // armed at the conveyor minimum's exact coordinates — is what keeps
-// NextAt, NextBefore, and the drain fast-forward's horizon aware of
-// conveyor work exactly as they were when each entry was a heap event.
+// NextAt and the drain fast-forward's horizon aware of conveyor work
+// exactly as they were when each entry was a heap event.
 func (s *Switch) auxArm() {
 	if at, seq, _, ok := s.auxMin(); ok {
 		s.auxLane.ArmExact(at, seq)
@@ -1200,13 +969,10 @@ func (s *Switch) auxArm() {
 func (s *Switch) auxFire(txPort int) {
 	if txPort >= 0 {
 		s.txDonePend[txPort] = false
-		s.txPendCount--
 		if txPort == s.txMin {
 			s.txRescan()
 		}
-		if !s.inBurst {
-			s.auxArm()
-		}
+		s.auxArm()
 		s.txComplete(txPort)
 		return
 	}
@@ -1222,43 +988,16 @@ func (s *Switch) auxFire(txPort int) {
 		s.pipeQ = s.pipeQ[:n]
 		s.pipeHead = 0
 	}
-	if !s.inBurst {
-		s.auxArm()
-	}
+	s.auxArm()
 	s.enqueueOut(pkt, port, q, rank, fh)
 }
 
 // auxRun fires on the aux lane: deliver the entry the lane was armed
-// for, then — burst mode — keep delivering consecutive entries inline
-// while the scheduler holds nothing that precedes them and the run
-// horizon allows it (the same proof the burst slot loop uses). In
-// per-packet oracle mode each dispatch delivers exactly one entry, like
-// the heap events the conveyor replaced.
+// for, exactly like the heap event it stands in for.
 func (s *Switch) auxRun() {
-	_, _, txPort, ok := s.auxMin()
-	if !ok {
-		return
-	}
-	if s.noBurst || s.conveyorDepth() < BurstEngageDepth {
-		// Per-packet oracle mode, or a conveyor too shallow for the
-		// continuation loop to beat plain dispatch: deliver exactly one
-		// entry, like the heap event it replaced.
-		s.auxFire(txPort)
-		return
-	}
-	s.inBurst = true
-	s.auxFire(txPort)
-	limit, strict := s.sched.RunBound()
-	for {
-		at, seq, txPort, ok := s.auxMin()
-		if !ok || at > limit || (strict && at == limit) || s.sched.NextBefore(at, seq) {
-			break
-		}
-		s.sched.AdvanceTo(at)
+	if _, _, txPort, ok := s.auxMin(); ok {
 		s.auxFire(txPort)
 	}
-	s.inBurst = false
-	s.auxArm()
 }
 
 func (s *Switch) enqueueOut(pkt *packet.Packet, port, q int, rank, flowHash uint64) {
@@ -1305,9 +1044,7 @@ func (s *Switch) pump(port int) {
 			s.pushEvent(e)
 		}
 		for _, g := range ctx.Generated {
-			s.stats.Generated++
-			gp := s.pool.GetCopy(g.Data, -1)
-			gp.Gen = true
+			gp := s.generated(g.Data)
 			if g.Port >= 0 {
 				s.enqueueOut(gp, g.Port, 0, 0, flowHashOf(g.Data))
 			} else {
@@ -1344,13 +1081,9 @@ func (s *Switch) pump(port int) {
 	s.txDoneAt[port] = at
 	s.txDoneSeq[port] = seq
 	s.txDonePend[port] = true
-	s.txPendCount++
 	// seq is the newest drawn, so an equal at never displaces txMin.
 	if m := s.txMin; m < 0 || at < s.txDoneAt[m] {
 		s.txMin = port
-	}
-	if s.inBurst {
-		return
 	}
 	if at0, seq0, armed := s.auxLane.ArmedAt(); !armed || at < at0 || (at == at0 && seq < seq0) {
 		s.auxLane.ArmExact(at, seq)

@@ -1,7 +1,7 @@
 package netsim
 
 import (
-	"fmt"
+	"sort"
 	"testing"
 
 	"repro/internal/core"
@@ -9,12 +9,11 @@ import (
 	"repro/internal/sim"
 )
 
-// burstDeliverRig is deliverRig's vectorized twin: each step pushes a
-// whole burst of frames through host NIC serialization, the arrival
-// FIFO on the first link, the switch's burst slot loop, and the second
-// link's FIFO. NIC serialization (~18ns/frame at 100G) is much shorter
-// than the 100ns propagation, so several frames are queued in the
-// wireFIFO whenever it fires.
+// burstDeliverRig is deliverRig with arrival bursts: each step pushes 16
+// frames through host NIC serialization, the first link, the switch and
+// the second link. NIC serialization (~18ns/frame at 100G) is much
+// shorter than the 100ns propagation, so several pooled flights are in
+// the air on one link at once.
 func burstDeliverRig(tb testing.TB) (step func(), rx *uint64) {
 	const frames = 16
 	sched := sim.NewScheduler()
@@ -41,10 +40,9 @@ func burstDeliverRig(tb testing.TB) (step func(), rx *uint64) {
 	return step, &dst.RxPackets
 }
 
-// TestNetsimBurstDeliverZeroAlloc asserts the vectorized delivery path —
-// burst sends through pooled NIC transmissions, wireFIFO batched
-// arrivals, the switch burst loop, and back out — performs zero heap
-// allocations in steady state.
+// TestNetsimBurstDeliverZeroAlloc asserts the delivery path stays free of
+// heap allocations when whole bursts are in flight: pooled NIC
+// transmissions, many pooled flights per link, the switch, and back out.
 func TestNetsimBurstDeliverZeroAlloc(t *testing.T) {
 	step, rx := burstDeliverRig(t)
 	before := *rx
@@ -68,18 +66,25 @@ func lenFrame(n int) []byte {
 	})
 }
 
-// impairedOrderRun drives the wire-order property workload once and
-// returns the delivered frame sizes (in arrival order) plus a counter
-// fingerprint. The workload sends bursts of 8 length-tagged frames every
-// 20µs; for a middle window the h1-side link carries a deterministic
-// impairment (drop every 5th frame, duplicate every 7th with enough
-// extra delay to reorder it past later bursts, jitter every 3rd), so the
-// run crosses FIFO→legacy→FIFO transitions: frames sent right after the
-// impairment is removed still ride the per-frame path while delayed
-// duplicates are in the air (the legacyPending guard), then the
-// direction returns to batched delivery.
-func impairedOrderRun(t *testing.T) (order []int, fp string, maxQueued int) {
-	t.Helper()
+// wireCopy is one frame copy an impairment put on the wire: its arrival
+// instant, its position in the link's send order, and its identity.
+type wireCopy struct {
+	at   sim.Time
+	seq  int
+	size int
+}
+
+// TestBurstWireOrderUnderImpairments is the wire-order property pin:
+// frames must arrive in the wire band's (arrival time, send order) total
+// order. h1 sends bursts of 8 length-tagged frames every 20µs; for a
+// middle window its link drops every 5th frame, duplicates every 7th
+// with enough extra delay to reorder the copy past later bursts, and
+// jitters every 3rd. The impairment records every copy it lets through,
+// and the order h2 receives them in (the switch forwards one input port
+// to one output FIFO) must equal those records sorted by (arrival, send
+// order).
+func TestBurstWireOrderUnderImpairments(t *testing.T) {
+	const latency = 2 * sim.Microsecond
 	sched := sim.NewScheduler()
 	net := New(sched)
 	sw := core.New(core.Config{Name: "s"}, core.EventDriven(), sched)
@@ -87,143 +92,76 @@ func impairedOrderRun(t *testing.T) (order []int, fp string, maxQueued int) {
 	net.AddSwitch(sw)
 	h1 := net.NewHost("h1", packet.IP4(10, 0, 0, 1))
 	h2 := net.NewHost("h2", packet.IP4(10, 0, 0, 2))
-	l := net.Attach(h1, sw, 0, 2*sim.Microsecond)
+	l := net.Attach(h1, sw, 0, latency)
 	net.Attach(h2, sw, 1, 100*sim.Nanosecond)
 
+	var order []int
 	h2.OnRecv = func(d []byte) { order = append(order, len(d)) }
 
+	var copies []wireCopy
 	nimp := 0
-	impair := func(data []byte) []Deliverable {
+	adverse := false
+	l.SetImpair(func(data []byte) []Deliverable {
 		nimp++
+		var outs []Deliverable
 		switch {
+		case !adverse:
+			outs = []Deliverable{{Data: data}}
 		case nimp%5 == 0:
-			return nil
 		case nimp%7 == 0:
-			return []Deliverable{
+			outs = []Deliverable{
 				{Data: data},
 				{Data: append([]byte(nil), data...), ExtraDelay: 30 * sim.Microsecond},
 			}
 		case nimp%3 == 0:
-			return []Deliverable{{Data: data, ExtraDelay: 200 * sim.Nanosecond}}
+			outs = []Deliverable{{Data: data, ExtraDelay: 200 * sim.Nanosecond}}
 		default:
-			return []Deliverable{{Data: data}}
+			outs = []Deliverable{{Data: data}}
 		}
-	}
+		for _, o := range outs {
+			copies = append(copies, wireCopy{
+				at: sched.Now() + latency + o.ExtraDelay, seq: len(copies), size: len(o.Data),
+			})
+		}
+		return outs
+	})
 
 	const bursts = 30
 	for i := 0; i < bursts; i++ {
 		i := i
-		at := sim.Time(1+i*20) * sim.Microsecond
-		sched.At(at, func() {
+		sched.At(sim.Time(1+i*20)*sim.Microsecond, func() {
 			for j := 0; j < 8; j++ {
 				h1.Send(lenFrame(100 + i*8 + j))
 			}
 		})
-		// Probe the arrival FIFO mid-propagation: all eight NIC
-		// serializations (~26ns each) finish well inside the 2µs latency,
-		// so outside the impairment window the FIFO holds the whole burst.
-		sched.At(at+sim.Microsecond, func() {
-			if q := len(l.fifo[0].q) - l.fifo[0].head; q > maxQueued {
-				maxQueued = q
-			}
-		})
 	}
-	// Impairment window covering bursts 10-19.
-	sched.At(200*sim.Microsecond, func() { l.SetImpair(impair) })
-	sched.At(400*sim.Microsecond, func() { l.SetImpair(nil) })
+	// Adverse window covering bursts 10-19.
+	sched.At(200*sim.Microsecond, func() { adverse = true })
+	sched.At(400*sim.Microsecond, func() { adverse = false })
 	sched.Run(sim.Millisecond)
 
-	fp = fmt.Sprintf("rx=%d/%dB sent=%d delivered=%d dropped=%d dup=%d inflight=%d sw=%+v",
-		h2.RxPackets, h2.RxBytes, l.Sent(), l.Delivered(), l.Dropped(), l.Duplicated(),
-		l.InFlight(), sw.Stats())
-	return order, fp, maxQueued
-}
-
-// TestBurstWireOrderUnderImpairments is the wire-order property pin: the
-// batched arrival FIFO must deliver frames in exactly the wire-band
-// (arrival time, directed link id, send seq) total order of the
-// per-frame path, across impairment windows that force the link back and
-// forth between the FIFO and legacy-flight paths. The delivered frame
-// sequence and every counter must match a rebuild of the identical
-// workload with bursting disabled.
-func TestBurstWireOrderUnderImpairments(t *testing.T) {
-	order, fp, maxQueued := impairedOrderRun(t)
-
-	saved := core.ForceNoBurst
-	core.ForceNoBurst = true
-	orderRef, fpRef, _ := impairedOrderRun(t)
-	core.ForceNoBurst = saved
-
-	if len(order) == 0 {
-		t.Fatal("nothing delivered; property is vacuous")
-	}
-	if maxQueued < 4 {
-		t.Fatalf("arrival FIFO peaked at %d queued frames; burst path not exercised", maxQueued)
-	}
-	if fp != fpRef {
-		t.Errorf("counters diverge:\nburst:   %s\nnoburst: %s", fp, fpRef)
-	}
-	if len(order) != len(orderRef) {
-		t.Fatalf("delivered %d frames with burst, %d without", len(order), len(orderRef))
-	}
-	for i := range order {
-		if order[i] != orderRef[i] {
-			t.Fatalf("delivery order diverges at %d: burst=%d noburst=%d", i, order[i], orderRef[i])
+	sort.SliceStable(copies, func(i, j int) bool {
+		if copies[i].at != copies[j].at {
+			return copies[i].at < copies[j].at
+		}
+		return copies[i].seq < copies[j].seq
+	})
+	reordered := false
+	for i := range copies {
+		if i > 0 && copies[i].size < copies[i-1].size {
+			reordered = true
 		}
 	}
-}
-
-// fifoDepth sums the queued arrival-FIFO entries across a network's
-// links, both directions.
-func fifoDepth(n *Network) int {
-	d := 0
-	for _, l := range n.links {
-		for dir := 0; dir < 2; dir++ {
-			d += len(l.fifo[dir].q) - l.fifo[dir].head
+	if l.Dropped() == 0 || l.Duplicated() == 0 || !reordered {
+		t.Fatalf("impairment window left a case uncovered: dropped=%d duplicated=%d reordered=%v",
+			l.Dropped(), l.Duplicated(), reordered)
+	}
+	if len(order) != len(copies) {
+		t.Fatalf("h2 received %d frames, the wire carried %d copies", len(order), len(copies))
+	}
+	for i, c := range copies {
+		if order[i] != c.size {
+			t.Fatalf("delivery %d: got frame %d, wire order says %d", i, order[i], c.size)
 		}
-	}
-	return d
-}
-
-// TestBurstCheckpointMidFIFO pins checkpoint coverage for in-flight
-// bursts: the snapshot is cut while arrival FIFOs are non-empty, and the
-// resumed run — including a resume into a run with bursting disabled,
-// which reloads the same frames as per-frame flights with their original
-// (arrival, link, seq) wire keys — must match the uninterrupted run on
-// every observable.
-func TestBurstCheckpointMidFIFO(t *testing.T) {
-	const half, full = sim.Millisecond, 2500 * sim.Microsecond
-
-	a := buildNetRig(t, true)
-	a.sched.Run(half)
-	if d := fifoDepth(a.net); d == 0 {
-		t.Fatal("no frames queued in arrival FIFOs at the cut; mid-burst restore is vacuous")
-	}
-	snap := a.snapshot()
-	a.sched.Run(full)
-	want := a.fingerprint()
-
-	b := buildNetRig(t, false)
-	b.restore(t, snap)
-	if d := fifoDepth(b.net); d == 0 {
-		t.Fatal("restore rebuilt no arrival FIFO entries")
-	}
-	b.sched.Run(full)
-	if got := b.fingerprint(); got != want {
-		t.Errorf("mid-burst resume diverges:\n--- uninterrupted ---\n%s--- resumed ---\n%s", want, got)
-	}
-
-	// Cross-mode resume: the same snapshot poured into a no-burst run.
-	saved := core.ForceNoBurst
-	core.ForceNoBurst = true
-	c := buildNetRig(t, false)
-	c.restore(t, snap)
-	if d := fifoDepth(c.net); d != 0 {
-		t.Errorf("no-burst restore left %d frames in arrival FIFOs; want per-frame flights", d)
-	}
-	c.sched.Run(full)
-	core.ForceNoBurst = saved
-	if got := c.fingerprint(); got != want {
-		t.Errorf("cross-mode resume diverges:\n--- uninterrupted ---\n%s--- resumed ---\n%s", want, got)
 	}
 }

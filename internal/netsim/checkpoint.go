@@ -43,14 +43,6 @@ func (n *Network) inFlight() map[*Link][2][]wireFrame {
 				frames := out[v.l]
 				frames[v.dir] = append(frames[v.dir], wireFrame{at: at, seq: k2, buf: v.buf})
 				out[v.l] = frames
-			case *wireFIFO:
-				// One band registration stands for the whole arrival
-				// FIFO: every queued entry is an in-flight frame.
-				frames := out[v.l]
-				for _, en := range v.q[v.head:] {
-					frames[v.dir] = append(frames[v.dir], wireFrame{at: en.at, seq: en.seq, buf: en.buf})
-				}
-				out[v.l] = frames
 			}
 		})
 	}
@@ -172,21 +164,6 @@ func (n *Network) Restore(d *checkpoint.Decoder) {
 			if d.Err() != nil {
 				return
 			}
-			// Frames were snapshotted sorted by send seq. When the
-			// restoring network batches deliveries (burstOK) and the
-			// arrival times are non-decreasing in that order — always
-			// true for frames that were queued in a FIFO, and for any
-			// unimpaired stretch — they reload as one arrival FIFO with
-			// a single band registration. Otherwise (impairment-scattered
-			// arrival times, or bursting disabled) each frame reloads as
-			// its own per-frame flight, exactly as snapshotted runs
-			// without bursting would.
-			w := l.fifo[dir]
-			w.q = w.q[:0]
-			w.head = 0
-			l.legacyPending[dir] = 0
-			frames := make([]wireFrame, 0, nf)
-			fifoOK := l.burstOK
 			for i := 0; i < nf; i++ {
 				at := sim.Time(d.I64())
 				seq := d.U64()
@@ -194,30 +171,17 @@ func (n *Network) Restore(d *checkpoint.Decoder) {
 				if d.Err() != nil {
 					return
 				}
-				if i > 0 && at < frames[i-1].at {
-					fifoOK = false
+				var r sim.Runner
+				if l.cross {
+					m := &mailFlight{n: n, l: l, dir: dir, at: at, seq: seq}
+					m.buf = append(m.buf, buf...)
+					r = m
+				} else {
+					f := &flight{n: n, l: l, dir: dir}
+					f.buf = append(f.buf, buf...)
+					r = f
 				}
-				frames = append(frames, wireFrame{at: at, seq: seq, buf: buf})
-			}
-			if fifoOK && nf > 0 {
-				for _, f := range frames {
-					w.q = append(w.q, wireEntry{at: f.at, seq: f.seq, buf: append([]byte(nil), f.buf...)})
-				}
-				h := &w.q[0]
-				l.sched[1-dir].RestoreWireRunner(h.at, l.wireKey(dir), h.seq, w)
-			} else {
-				for _, fr := range frames {
-					if l.cross {
-						m := &mailFlight{n: n, l: l, dir: dir, at: fr.at, seq: fr.seq}
-						m.buf = append(m.buf, fr.buf...)
-						l.sched[1-dir].RestoreWireRunner(fr.at, l.wireKey(dir), fr.seq, m)
-					} else {
-						f := &flight{n: n, l: l, dir: dir}
-						f.buf = append(f.buf, fr.buf...)
-						l.legacyPending[dir]++
-						l.sched[1-dir].RestoreWireRunner(fr.at, l.wireKey(dir), fr.seq, f)
-					}
-				}
+				l.sched[1-dir].RestoreWireRunner(at, l.wireKey(dir), seq, r)
 			}
 			nm := d.Int()
 			if d.Err() != nil {

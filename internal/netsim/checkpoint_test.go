@@ -24,6 +24,16 @@ type netRig struct {
 
 func buildNetRig(t testing.TB, start bool) *netRig {
 	t.Helper()
+	return buildNetRigWith(t, start, 100*sim.Nanosecond, false)
+}
+
+// buildNetRigWith is buildNetRig with the host links' latency chosen and,
+// with impairTrunk, an impairment on the trunk that drops, duplicates
+// and delays frames so their arrival times leave send order. The
+// impairment keys its decisions off the trunk's restored Sent counter,
+// so a resumed run makes the same ones.
+func buildNetRigWith(t testing.TB, start bool, hostLatency sim.Time, impairTrunk bool) *netRig {
+	t.Helper()
 	r := &netRig{sched: sim.NewScheduler()}
 	r.net = New(r.sched)
 	for i := range r.sws {
@@ -34,11 +44,24 @@ func buildNetRig(t testing.TB, start bool) *netRig {
 	}
 	r.hosts[0] = r.net.NewHost("h1", packet.IP4(10, 0, 0, 1))
 	r.hosts[1] = r.net.NewHost("h2", packet.IP4(10, 0, 0, 2))
-	r.net.Attach(r.hosts[0], r.sws[0], 0, 100*sim.Nanosecond)
-	r.net.Attach(r.hosts[1], r.sws[1], 0, 100*sim.Nanosecond)
+	r.net.Attach(r.hosts[0], r.sws[0], 0, hostLatency)
+	r.net.Attach(r.hosts[1], r.sws[1], 0, hostLatency)
 	// Trunk latency exceeds the emission cadence, so frames are on the
 	// wire at any snapshot cut.
-	r.net.Connect(r.sws[0], 1, r.sws[1], 1, 5*sim.Microsecond)
+	trunk := r.net.Connect(r.sws[0], 1, r.sws[1], 1, 5*sim.Microsecond)
+	if impairTrunk {
+		trunk.SetImpair(func(data []byte) []Deliverable {
+			switch trunk.Sent() % 7 {
+			case 2:
+				return nil
+			case 4:
+				return []Deliverable{{Data: data}, {Data: data, ExtraDelay: 20 * sim.Microsecond}}
+			case 6:
+				return []Deliverable{{Data: data, ExtraDelay: 12 * sim.Microsecond}}
+			}
+			return []Deliverable{{Data: data}}
+		})
+	}
 
 	rng := sim.NewRNG(17)
 	for i, h := range r.hosts {
@@ -114,8 +137,8 @@ func (r *netRig) fingerprint() string {
 	for i, l := range r.net.Links() {
 		for dir := 0; dir < 2; dir++ {
 			c := l.Counters(dir)
-			out += fmt.Sprintf("link%d dir%d sent=%d delivered=%d inflight=%d\n",
-				i, dir, c.Sent, c.Delivered, c.InFlight())
+			out += fmt.Sprintf("link%d dir%d sent=%d delivered=%d inflight=%d dropped=%d dup=%d\n",
+				i, dir, c.Sent, c.Delivered, c.InFlight(), c.Dropped, c.Duplicated)
 		}
 	}
 	for i, g := range r.gens {
@@ -183,4 +206,75 @@ func TestNetworkRestoreRefusesTopologyMismatch(t *testing.T) {
 	if d.Err() == nil {
 		t.Fatal("restore into a different topology did not fail")
 	}
+}
+
+// TestCheckpointFramesInFlight cuts a snapshot while frames are in
+// flight on unimpaired host links and on an impaired trunk, whose
+// dropped, duplicated and delayed copies arrive out of send order. Each
+// in-flight frame is snapshotted with its (arrival, link, seq) wire key
+// and restored as its own flight, so the resumed run must match the
+// uninterrupted one on every observable and deliver every frame at the
+// same instant.
+func TestCheckpointFramesInFlight(t *testing.T) {
+	const half, full = sim.Millisecond, 2500 * sim.Microsecond
+
+	a := buildNetRigWith(t, true, 5*sim.Microsecond, true)
+	a.sched.Run(half)
+	var hostFrames int
+	scattered := false
+	for l, lf := range a.net.inFlight() {
+		for dir := 0; dir < 2; dir++ {
+			if l.impair == nil {
+				hostFrames += len(lf[dir])
+				continue
+			}
+			// lf is in send order; an earlier-sent copy arriving later
+			// means the impairment scattered the arrival times.
+			for i := 1; i < len(lf[dir]); i++ {
+				if lf[dir][i].at < lf[dir][i-1].at {
+					scattered = true
+				}
+			}
+		}
+	}
+	if hostFrames == 0 || !scattered {
+		t.Fatalf("cut is vacuous: %d frames in flight on unimpaired links, impaired trunk scattered=%v",
+			hostFrames, scattered)
+	}
+	snap := a.snapshot()
+	aRx := logDeliveries(a)
+	a.sched.Run(full)
+	want := a.fingerprint()
+
+	b := buildNetRigWith(t, false, 5*sim.Microsecond, true)
+	b.restore(t, snap)
+	bRx := logDeliveries(b)
+	b.sched.Run(full)
+	if got := b.fingerprint(); got != want {
+		t.Errorf("resume with frames in flight diverges:\n--- uninterrupted ---\n%s--- resumed ---\n%s", want, got)
+	}
+	if len(*aRx) == 0 || len(*aRx) != len(*bRx) {
+		t.Fatalf("delivered %d frames after the cut uninterrupted, %d resumed", len(*aRx), len(*bRx))
+	}
+	for i := range *aRx {
+		if (*aRx)[i] != (*bRx)[i] {
+			t.Fatalf("delivery %d after the cut: uninterrupted %s, resumed %s", i, (*aRx)[i], (*bRx)[i])
+		}
+	}
+	if tr := a.net.Links()[2]; tr.Dropped() == 0 || tr.Duplicated() == 0 {
+		t.Fatalf("trunk impairment never dropped (%d) or duplicated (%d)", tr.Dropped(), tr.Duplicated())
+	}
+}
+
+// logDeliveries records every frame the rig's hosts receive from now on,
+// with the receiving host and instant.
+func logDeliveries(r *netRig) *[]string {
+	var log []string
+	for _, h := range r.hosts {
+		h := h
+		h.OnRecv = func(d []byte) {
+			log = append(log, fmt.Sprintf("%s@%v/%dB", h.Name, r.sched.Now(), len(d)))
+		}
+	}
+	return &log
 }

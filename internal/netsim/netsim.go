@@ -106,94 +106,7 @@ type flight struct {
 // returning, so the buffer is free for reuse immediately after.
 func (f *flight) Run() {
 	f.n.arrive(f.l, f.dir, f.buf)
-	f.l.legacyPending[f.dir]--
 	f.l.flightFree = append(f.l.flightFree, f)
-}
-
-// wireEntry is one frame queued in a direction's arrival FIFO (wireFIFO):
-// its wire-band ordering pair plus the frame bytes. For frames that came
-// through a cross-domain mailbox, m retains the mailFlight whose buffer
-// the entry borrows, parked back to mailSpent after delivery.
-type wireEntry struct {
-	at  sim.Time
-	seq uint64
-	buf []byte
-	m   *mailFlight
-}
-
-// wireFIFO batches one direction's in-flight frames: instead of one
-// wire-band event per frame, the link keeps an arrival FIFO per
-// direction and registers a single wire-band Runner keyed by the head
-// entry's (arrival time, directed link id, send seq). When it fires, it
-// delivers every queued frame with the head's arrival instant in one
-// activation — the vectorized frame delivery of the burst datapath —
-// then re-arms for the new head.
-//
-// This collapses O(frames) event-heap traffic into O(bursts) without
-// changing delivery order: entries are appended in send order, so (at,
-// seq) is non-decreasing down the queue (unimpaired links add constant
-// latency to a non-decreasing send clock), the band fires the runner at
-// exactly the head's key, and a same-instant group occupies consecutive
-// (k1, k2) positions that no other wire event can interleave — another
-// link's events sort entirely before or after on k1, and same-link
-// legacy flights never coexist with FIFO entries in flight (propagate
-// falls back to per-frame flights while any are pending). Delivering the
-// group in one activation is therefore exactly the per-frame firing
-// order.
-type wireFIFO struct {
-	n    *Network
-	l    *Link
-	dir  int
-	q    []wireEntry
-	head int
-	free [][]byte // recycled non-cross frame buffers
-}
-
-// push appends a frame (copying data into pooled storage) and arms the
-// band when the FIFO was idle.
-func (w *wireFIFO) push(at sim.Time, seq uint64, data []byte) {
-	var buf []byte
-	if k := len(w.free); k > 0 {
-		buf = w.free[k-1]
-		w.free[k-1] = nil
-		w.free = w.free[:k-1]
-	}
-	idle := w.head == len(w.q)
-	w.q = append(w.q, wireEntry{at: at, seq: seq, buf: append(buf[:0], data...)})
-	if idle {
-		w.l.sched[1-w.dir].AtWireRunner(at, w.l.wireKey(w.dir), seq, w)
-	}
-}
-
-// Run implements sim.Runner on the receiving side: deliver the head
-// burst — every entry sharing the head's arrival instant — then re-arm
-// for the remainder.
-func (w *wireFIFO) Run() {
-	l, dir := w.l, w.dir
-	at := w.q[w.head].at
-	for w.head < len(w.q) && w.q[w.head].at == at {
-		e := &w.q[w.head]
-		buf, m := e.buf, e.m
-		*e = wireEntry{}
-		w.head++
-		w.n.arrive(l, dir, buf)
-		if m != nil {
-			w.n.parkSpent(l, dir, m)
-		} else {
-			w.free = append(w.free, buf)
-		}
-	}
-	if w.head < len(w.q) {
-		h := &w.q[w.head]
-		l.sched[1-dir].AtWireRunner(h.at, l.wireKey(dir), h.seq, w)
-		if w.head > 512 && w.head*2 > len(w.q) {
-			w.q = append(w.q[:0], w.q[w.head:]...)
-			w.head = 0
-		}
-		return
-	}
-	w.q = w.q[:0]
-	w.head = 0
 }
 
 // mailFlight is a frame queued for cross-domain delivery at the next
@@ -277,15 +190,6 @@ type Link struct {
 	flightFree []*flight
 	// impairBuf is the reusable private copy handed to the impairment.
 	impairBuf []byte
-	// fifo batches each direction's unimpaired in-flight frames
-	// (wireFIFO); burstOK latches core.ForceNoBurst at link creation.
-	// legacyPending counts per-frame flights currently in the air per
-	// direction: while any are pending the direction keeps using the
-	// per-frame path, so a flight created under an impairment can never
-	// be overtaken by a same-instant FIFO group (see wireFIFO).
-	fifo          [2]*wireFIFO
-	burstOK       bool
-	legacyPending [2]int
 }
 
 // Up reports the link state (both endpoint views; between a partitioned
@@ -638,9 +542,6 @@ func (n *Network) addLink(a, b endpoint, latency sim.Time) *Link {
 	if l.cross && latency <= 0 {
 		panic("netsim: cross-domain link " + l.String() + " needs positive latency (it bounds the partition lookahead)")
 	}
-	l.burstOK = !core.ForceNoBurst
-	l.fifo[0] = &wireFIFO{n: n, l: l, dir: 0}
-	l.fifo[1] = &wireFIFO{n: n, l: l, dir: 1}
 	n.links = append(n.links, l)
 	if ra != nil {
 		ra.links[a.port] = l
@@ -748,10 +649,6 @@ func (n *Network) propagate(l *Link, dir int, data []byte, delay sim.Time) {
 		}
 		return
 	}
-	if l.burstOK && l.impair == nil && l.legacyPending[dir] == 0 {
-		l.fifo[dir].push(at, seq, data)
-		return
-	}
 	var f *flight
 	if k := len(l.flightFree); k > 0 {
 		f = l.flightFree[k-1]
@@ -762,7 +659,6 @@ func (n *Network) propagate(l *Link, dir int, data []byte, delay sim.Time) {
 	}
 	f.dir = dir
 	f.buf = append(f.buf[:0], data...)
-	l.legacyPending[dir]++
 	l.sched[1-dir].AtWireRunner(at, l.wireKey(dir), seq, f)
 }
 
@@ -833,27 +729,6 @@ func (n *Network) drainMail() {
 			}
 			dst := l.sched[1-dir]
 			key := l.wireKey(dir)
-			if l.burstOK {
-				// Burst handoff: append the whole barrier's worth of
-				// frames to the receiver's arrival FIFO (they are
-				// already in (at, seq) order — mailboxes preserve send
-				// order and cross links are never impaired) and arm the
-				// band once for the head instead of once per frame. The
-				// entries borrow the mailFlights' buffers; delivery
-				// parks each mailFlight on mailSpent as usual.
-				w := l.fifo[dir]
-				idle := w.head == len(w.q)
-				for j, m := range box {
-					w.q = append(w.q, wireEntry{at: m.at, seq: m.seq, buf: m.buf, m: m})
-					box[j] = nil
-				}
-				if idle {
-					h := &w.q[w.head]
-					dst.AtWireRunner(h.at, key, h.seq, w)
-				}
-				l.mail[dir] = box[:0]
-				continue
-			}
 			for j, m := range box {
 				dst.AtWireRunner(m.at, key, m.seq, m)
 				box[j] = nil

@@ -183,7 +183,6 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 		"trials_total":            self.TrialsTotal.Value(),
 		"pool_in_use":             self.PoolInUse.Cur(),
 		"pool_high_water":         self.PoolInUse.High(),
-		"burst_dispatches":        self.BurstOcc.Count(),
 		"stream_flushes":          self.StreamFlushes.Value(),
 		"stream_records":          self.StreamRecords.Value(),
 		"checkpoint_writes":       self.CheckpointWriteNS.Count(),

@@ -32,8 +32,8 @@ func TestServerEndpoints(t *testing.T) {
 	self.Reset()
 	self.SetDomains(2)
 	self.SchedDispatch.Add(123)
-	self.BurstOcc.Observe(4)
-	self.BurstOcc.Observe(9)
+	self.CheckpointWriteNS.Observe(4)
+	self.CheckpointWriteNS.Observe(9)
 	self.DomainWindows(0).Add(7)
 	self.DomainStallNS(1).Add(5500)
 	self.SimNowPS.Set(1_000_000)
@@ -64,9 +64,9 @@ func TestServerEndpoints(t *testing.T) {
 	}
 	for _, want := range []string{
 		"ev_self_sched_dispatch 123",
-		"# TYPE ev_self_burst_slots_per_dispatch histogram",
-		"ev_self_burst_slots_per_dispatch_count 2",
-		"ev_self_burst_slots_per_dispatch_sum 13",
+		"# TYPE ev_self_checkpoint_write_ns histogram",
+		"ev_self_checkpoint_write_ns_count 2",
+		"ev_self_checkpoint_write_ns_sum 13",
 		"ev_self_domain0_windows 7",
 		"ev_self_domain1_barrier_stall_ns 5500",
 		"ev_self_sim_now_ps 1000000",
@@ -76,6 +76,9 @@ func TestServerEndpoints(t *testing.T) {
 		if !strings.Contains(body, want) {
 			t.Errorf("/metrics missing %q", want)
 		}
+	}
+	if strings.Contains(body, "burst") {
+		t.Error("/metrics still exports a burst-datapath metric")
 	}
 	// The scrape itself was counted (this is the second scrape's view
 	// only if we scrape again; check >= 1 via the self counter).
@@ -93,6 +96,12 @@ func TestServerEndpoints(t *testing.T) {
 	}
 	if doc["sim_now_ps"].(float64) != 1_000_000 {
 		t.Errorf("sim_now_ps = %v", doc["sim_now_ps"])
+	}
+	if doc["checkpoint_writes"].(float64) != 2 {
+		t.Errorf("checkpoint_writes = %v, want 2", doc["checkpoint_writes"])
+	}
+	if _, ok := doc["burst_dispatches"]; ok {
+		t.Error("/status still reports burst_dispatches")
 	}
 	if doc["config_digest"] != "abc123" {
 		t.Errorf("host status field missing: %v", doc["config_digest"])

@@ -76,24 +76,6 @@ func (m *refModel) next() *refItem {
 	return ord
 }
 
-// nextBefore is NextBefore's definition: a wire event at or before at,
-// or an ordinary entry strictly before (at, seq).
-func (m *refModel) nextBefore(at Time, seq uint64) bool {
-	for _, it := range append(m.items[:len(m.items):len(m.items)], m.lanes...) {
-		if !it.live {
-			continue
-		}
-		if it.kind == 'W' {
-			if it.at <= at {
-				return true
-			}
-		} else if it.at < at || (it.at == at && it.seq < seq) {
-			return true
-		}
-	}
-	return false
-}
-
 // laneOps applies the same random operations to a Scheduler and to
 // the reference model, and checks every firing against the model.
 type laneOps struct {
@@ -248,16 +230,6 @@ func (d *laneOps) check() {
 	if ok != (want != nil) || (ok && at != want.at) {
 		d.t.Fatalf("NextAt = (%v, %v), reference next is %v", at, ok, describe(want))
 	}
-	probes := [][2]uint64{{uint64(s.Now()), 0}, {uint64(s.Now()), m.seq}}
-	if want != nil {
-		probes = append(probes, [2]uint64{uint64(want.at), want.seq}, [2]uint64{uint64(want.at), want.seq + 1},
-			[2]uint64{uint64(want.at + Nanosecond), 0})
-	}
-	for _, p := range probes {
-		if got, exp := s.NextBefore(Time(p[0]), p[1]), m.nextBefore(Time(p[0]), p[1]); got != exp {
-			d.t.Fatalf("NextBefore(%v, %d) = %v, reference %v", Time(p[0]), p[1], got, exp)
-		}
-	}
 	armed := 0
 	for i, l := range d.lanes {
 		li := m.lanes[i]
@@ -280,7 +252,7 @@ func (d *laneOps) check() {
 // TestLaneHeapMatchesScan drives random arms, exact arms, restores,
 // disarms and callback re-arms on 1 to 640 lanes, interleaved with heap
 // events, cancelled heap events and wire events, and checks Step,
-// RunBefore, Run, NextAt and NextBefore against the linear-scan model.
+// RunBefore, Run and NextAt against the linear-scan model.
 func TestLaneHeapMatchesScan(t *testing.T) {
 	for _, n := range []int{1, 8, 160, 640} {
 		for seed := uint64(1); seed <= 3; seed++ {

@@ -643,22 +643,6 @@ func (s *Scheduler) stepBounded(limit Time, strict bool) bool {
 	return true
 }
 
-// AdvanceTo moves the clock forward to at without firing anything. It is
-// the batching primitive for in-callback burst loops (the switch's burst
-// slot loop): a callback that has proven — via NextAt and RunBound — that
-// nothing is pending in (Now, at] may advance the clock itself and do the
-// work that a chain of self-scheduled events would have done one wakeup
-// at a time, with Now() correct at every step. Advancing past a pending
-// event would reorder causality, exactly like scheduling in the past, so
-// the same discipline applies: callers check NextAt first. Advancing
-// backwards panics.
-func (s *Scheduler) AdvanceTo(at Time) {
-	if at < s.now {
-		panic("sim: AdvanceTo into the past")
-	}
-	s.now = at
-}
-
 // NextSeq draws and consumes the next sequence number from the shared
 // insertion counter without scheduling anything. It is the conveyor
 // primitive: a component that manages its own future-work FIFO (the
@@ -669,24 +653,6 @@ func (s *Scheduler) NextSeq() uint64 {
 	n := s.seq
 	s.seq++
 	return n
-}
-
-// NextBefore reports whether any pending event — wire band, heap, or
-// armed lane — precedes the coordinate (at, seq): wire events by time
-// alone (the wire band fires before ordinary work at equal instants),
-// ordinary events and lanes by exact (at, seq). A conveyor owner calls
-// it to prove its next entry is precisely what the scheduler would fire
-// next, and may then run the entry inline. A lane armed exactly at
-// (at, seq) — the conveyor's own — does not precede it.
-func (s *Scheduler) NextBefore(at Time, seq uint64) bool {
-	if len(s.wire) > 0 && s.wire[0].at <= at {
-		return true
-	}
-	if ev := s.peekHeap(); ev != nil && (ev.at < at || (ev.at == at && ev.seq < seq)) {
-		return true
-	}
-	l := s.nextLane()
-	return l != nil && (l.at < at || (l.at == at && l.seq < seq))
 }
 
 // NextAt returns the time of the earliest pending event and whether one

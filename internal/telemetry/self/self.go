@@ -21,9 +21,8 @@
 //   - Per-event costs are batched: the scheduler counts dispatches and
 //     lane arms in plain local fields and publishes deltas at run exit
 //     (Scheduler.Run/RunBefore return), not per event.
-//   - Per-occurrence costs stay on naturally coarse paths: a burst
-//     occupancy observation per cycle-lane dispatch, a stall sample per
-//     partition window, a latency sample per checkpoint write.
+//   - Per-occurrence costs stay on naturally coarse paths: a stall
+//     sample per partition window, a latency sample per checkpoint write.
 package self
 
 import (
@@ -165,14 +164,15 @@ var (
 	// (published as batched deltas at Run/RunBefore/RunAll exit).
 	SchedDispatch Counter
 	// SchedLaneArms counts cycle-lane arms (Lane.ArmAt) and SchedAuxArms
-	// counts exact-coordinate arms (Lane.ArmExact — the burst conveyor's
+	// counts exact-coordinate arms (Lane.ArmExact — the switch conveyor's
 	// aux lane), both published at run exit with SchedDispatch.
 	SchedLaneArms Counter
 	SchedAuxArms  Counter
 
-	// BurstOcc is the burst-slot occupancy histogram: pipeline slots
-	// executed per cycle-lane dispatch. A healthy burst datapath shows
-	// mass well above 1.
+	// BurstOcc was the burst datapath's slots-per-dispatch histogram.
+	// Every cycle-lane dispatch now runs exactly one slot, so nothing
+	// observes it and it is not exported; it stays declared only because
+	// the repository benchmark (perfbench/traced.go) still reads it.
 	BurstOcc Hist
 
 	// PoolInUse tracks outstanding packets across every packet.Pool:
@@ -260,14 +260,13 @@ func Reset() {
 	} {
 		c.v.Store(0)
 	}
-	for _, h := range []*Hist{&BurstOcc, &CheckpointWriteNS} {
-		for i := range h.buckets {
-			h.buckets[i].Store(0)
-		}
-		h.count.Store(0)
-		h.sum.Store(0)
-		h.max.Store(0)
+	h := &CheckpointWriteNS
+	for i := range h.buckets {
+		h.buckets[i].Store(0)
 	}
+	h.count.Store(0)
+	h.sum.Store(0)
+	h.max.Store(0)
 	PoolInUse.cur.Store(0)
 	PoolInUse.hi.Store(0)
 	CheckpointLastUnixNS.Set(0)
@@ -325,7 +324,6 @@ func Snapshot() []Sample {
 		return s
 	}
 	out := []Sample{
-		hist("self.burst.slots_per_dispatch", &BurstOcc),
 		counter("self.checkpoint.bytes", &CheckpointBytes),
 		gauge("self.checkpoint.last_unix_ns", &CheckpointLastUnixNS),
 		hist("self.checkpoint.write_ns", &CheckpointWriteNS),

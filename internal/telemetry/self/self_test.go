@@ -22,7 +22,6 @@ func TestSelfHotPathZeroAlloc(t *testing.T) {
 		SchedDispatch.Add(17)
 		SchedLaneArms.Inc()
 		SchedAuxArms.Inc()
-		BurstOcc.Observe(42)
 		PoolInUse.Add(1)
 		PoolInUse.Add(-1)
 		CheckpointWriteNS.Observe(123456)
@@ -99,7 +98,7 @@ func TestConcurrentSnapshot(t *testing.T) {
 			defer writers.Done()
 			for i := 0; i < 5000; i++ {
 				SchedDispatch.Add(1)
-				BurstOcc.Observe(uint64(i % 70))
+				CheckpointWriteNS.Observe(uint64(i % 70))
 				PoolInUse.Add(1)
 				PoolInUse.Add(-1)
 				DomainWindows(g % 2).Inc()

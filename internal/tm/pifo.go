@@ -5,8 +5,6 @@
 // dequeue, overflow, and underflow to the event-driven architecture.
 package tm
 
-import "container/heap"
-
 // pifoEntry is one element of a PIFO: an opaque item with a rank. Lower
 // ranks dequeue first; equal ranks dequeue in arrival order.
 type pifoEntry struct {
@@ -15,26 +13,28 @@ type pifoEntry struct {
 	seq  uint64
 }
 
-type pifoHeap []pifoEntry
-
-func (h pifoHeap) Len() int { return len(h) }
-func (h pifoHeap) Less(i, j int) bool {
-	if h[i].rank != h[j].rank {
-		return h[i].rank < h[j].rank
+// before orders entries by (rank, seq); seq is unique per PIFO, so no
+// two entries tie.
+func (e *pifoEntry) before(o *pifoEntry) bool {
+	if e.rank != o.rank {
+		return e.rank < o.rank
 	}
-	return h[i].seq < h[j].seq
+	return e.seq < o.seq
 }
-func (h pifoHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *pifoHeap) Push(x any)   { *h = append(*h, x.(pifoEntry)) }
-func (h *pifoHeap) Pop() any     { old := *h; n := len(old); e := old[n-1]; *h = old[:n-1]; return e }
 
 // PIFO is a Push-In-First-Out queue (Sivaraman et al., SIGCOMM 2016),
 // the building block for programmable packet scheduling that the paper's
 // Traffic Management application class combines with event-driven
 // programming. Items are inserted with a rank computed by the data-plane
 // program; the head is always the minimum-rank item.
+//
+// The binary heap is sifted by hand rather than through container/heap,
+// whose interface boxes every pushed entry. Both sifts compare the
+// moving entry against the same slots container/heap's swaps would, so
+// the array ends up laid out exactly as container/heap leaves it —
+// TM.Snapshot writes that array as it lies.
 type PIFO struct {
-	h   pifoHeap
+	h   []pifoEntry
 	seq uint64
 	cap int
 }
@@ -53,8 +53,19 @@ func (p *PIFO) Push(item any, rank uint64) bool {
 	if p.cap > 0 && len(p.h) >= p.cap {
 		return false
 	}
-	heap.Push(&p.h, pifoEntry{item: item, rank: rank, seq: p.seq})
+	e := pifoEntry{item: item, rank: rank, seq: p.seq}
 	p.seq++
+	p.h = append(p.h, e)
+	j := len(p.h) - 1
+	for j > 0 {
+		i := (j - 1) / 2
+		if !e.before(&p.h[i]) {
+			break
+		}
+		p.h[j] = p.h[i]
+		j = i
+	}
+	p.h[j] = e
 	return true
 }
 
@@ -63,8 +74,30 @@ func (p *PIFO) Pop() (any, bool) {
 	if len(p.h) == 0 {
 		return nil, false
 	}
-	e := heap.Pop(&p.h).(pifoEntry)
-	return e.item, true
+	item := p.h[0].item
+	n := len(p.h) - 1
+	last := p.h[n]
+	p.h[n] = pifoEntry{}
+	p.h = p.h[:n]
+	if n > 0 {
+		i := 0
+		for {
+			j := 2*i + 1
+			if j >= n {
+				break
+			}
+			if j2 := j + 1; j2 < n && p.h[j2].before(&p.h[j]) {
+				j = j2
+			}
+			if !p.h[j].before(&last) {
+				break
+			}
+			p.h[i] = p.h[j]
+			i = j
+		}
+		p.h[i] = last
+	}
+	return item, true
 }
 
 // PeekRank returns the rank at the head without removing it.

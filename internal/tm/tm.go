@@ -222,40 +222,6 @@ func (t *TM) Enqueue(pkt *packet.Packet, outPort, q int, rank, flowHash uint64, 
 // themselves stay in per-queue FIFOs so that byte accounting is uniform.
 type pifoRef struct{ q int }
 
-// EnqueueReq is one packet of a bulk enqueue (EnqueueN).
-type EnqueueReq struct {
-	Pkt      *packet.Packet
-	Port, Q  int
-	Rank     uint64
-	FlowHash uint64
-}
-
-// EnqueueN offers a vector of packets to the TM in one call — the burst
-// datapath's bulk handoff from the ingress pipeline. Items are admitted
-// in slice order with exactly the semantics of calling Enqueue once per
-// item at the same instant: per-item tail-drop admission, per-item
-// BufferEnqueue/BufferOverflow events in order (so event sequence
-// numbers match the loop), and PIFO push order preserved. onResult, when
-// non-nil, runs for each item right after its admission decision —
-// before the next item is considered — which lets the caller interleave
-// its per-packet reaction (starting a transmit, releasing a dropped
-// packet) exactly where the equivalent Enqueue loop would have. It
-// returns the number of packets admitted.
-func (t *TM) EnqueueN(reqs []EnqueueReq, now sim.Time, onResult func(i int, ok bool)) int {
-	admitted := 0
-	for i := range reqs {
-		r := &reqs[i]
-		ok := t.Enqueue(r.Pkt, r.Port, r.Q, r.Rank, r.FlowHash, now)
-		if ok {
-			admitted++
-		}
-		if onResult != nil {
-			onResult(i, ok)
-		}
-	}
-	return admitted
-}
-
 // Dequeue removes the next packet from the given output port according to
 // the discipline. ok is false when the port is empty. A dequeue that
 // leaves the port with no buffered bytes raises BufferUnderflow after the
